@@ -26,8 +26,8 @@ Each mode is measured twice, from the same cold start:
 
 A final, untimed batched pass runs with telemetry to capture the scheduler
 counters (``symbolic_reuse``/``numeric_refactor``/``batched_cases``), and a
-pooled unbatched pass (two workers) captures ``shm_bytes`` from the
-shared-memory result transfer.
+pooled unbatched pass (two workers) captures the same counters as seen
+from the pool workers.
 
 The artifact lands at the repo root as ``BENCH_sweep_throughput.json``.
 Scale comes from the shared ``OPERA_BENCH_*`` environment variables::

@@ -140,16 +140,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # grid, chunked over the same worker count as Monte Carlo.  Its
         # cases are appended by identity, so pre-existing case seeds are
         # untouched (append-only identity rule).
-        engines=("opera", "montecarlo", "hierarchical", "pce-regression"),
+        engines=("opera", "montecarlo", "pce-regression"),
         orders=(2,),
         samples=bench_mc_samples(),
         mc_workers=bench_workers(),
         # Small chunks so even the tiny CI sample counts split into several
         # chunks and the job genuinely exercises the process-pool path.
         mc_chunk_size=8,
-        # One partitioned (hierarchical) case per grid so the smoke job
-        # exercises the Schur path; K=2 keeps the tiny grids splittable.
-        partitions=2,
         transient=bench_transient(),
         base_seed=BASE_SEED,
     )

@@ -35,17 +35,16 @@ reference_mean = reference.mean()[::4]
 
 print(f"{'scheme':>16s}  {'order':>5s}  {'max |mean - ref| (mV)':>22s}")
 for spec in ("trapezoidal", "backward-euler", "theta:0.75"):
-    run = session.run("opera", order=2, scheme=spec)
-    error = 1e3 * float(np.max(np.abs(run.mean() - reference_mean)))
+    opera = session.run("opera", order=2, scheme=spec)
+    error = 1e3 * float(np.max(np.abs(opera.mean() - reference_mean)))
     convergence = resolve_scheme(spec).convergence_order
     print(f"{spec:>16s}  {convergence:5d}  {error:22.4f}")
 
-# The same keyword works on every engine:
-hierarchical = session.run("hierarchical", order=2, scheme="theta:0.75")
+# The same keyword works on every engine (``opera`` is still on theta:0.75):
 montecarlo = session.run("montecarlo", samples=64, scheme="theta:0.75")
 print(
-    f"\ntheta:0.75 across engines: hierarchical worst drop "
-    f"{1e3 * hierarchical.worst_drop():.1f} mV, "
+    f"\ntheta:0.75 across engines: opera worst drop "
+    f"{1e3 * opera.worst_drop():.1f} mV, "
     f"MC worst drop {1e3 * montecarlo.worst_drop():.1f} mV"
 )
 

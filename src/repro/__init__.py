@@ -32,10 +32,9 @@ Variations" (Ghanta, Vrudhula, Panda, Wang -- DATE 2005).  It contains:
   engines x chaos orders x variation corners) over a process pool, with
   versioned benchmark artifacts and a wall-time regression gate
   (``opera-run sweep``);
-* :mod:`repro.partition` -- hierarchical partitioned analysis: deterministic
-  graph partitioning, exact Schur-complement port reduction (the ``schur``
-  solver backend), block-Jacobi/additive-Schwarz preconditioning
-  (``schwarz-cg``) and the ``hierarchical`` engine.
+* :mod:`repro.partition` -- deterministic graph partitioning of a grid into
+  decoupled block interiors plus an interface (the ``mor`` engine's atom
+  tiling).
 
 Quick start -- the :class:`~repro.api.Analysis` facade is the recommended
 entry point.  A session owns the grid, the variation model and a cache of
@@ -53,7 +52,7 @@ so repeated runs reuse work::
     print(session.compare(samples=200))            # Table-1 accuracy/speed-up row
 
 Every engine (``opera``, ``decoupled``, ``montecarlo``, ``deterministic``,
-``randomwalk``, ``hierarchical``, plus anything added with
+``randomwalk``, ``pce-regression``, ``mor``, plus anything added with
 :func:`~repro.api.register_engine`)
 returns an :class:`~repro.api.AnalysisResult`: uniform ``mean()``, ``std()``,
 ``worst_drop()``, ``wall_time`` and ``to_dict()``, with the engine-native

@@ -25,7 +25,7 @@ backends and serialisations):
 ``solver_stats.<backend>``
     Per-run counter growth of each cached solver backend that did work:
     ``instances``, ``solves``, ``total_iterations``, ``warm_starts``,
-    ``cold_starts``, ``factor_time_s`` plus the backend's latest-value
+    ``cold_starts`` plus the backend's latest-value
     fields (``last_iterations``, ``last_relative_residual``, ...).
 ``solver_stats.steps``
     Present while telemetry is enabled
@@ -36,8 +36,8 @@ backends and serialisations):
     final/max relative residuals (see
     :class:`repro.telemetry.StepStats`).
 
-Partitioned runs additionally report a ``partition`` block (schedule and
-interface statistics of the hierarchical engine).
+``mor`` runs additionally report a ``partition`` block (atom tiling and
+interface statistics).
 """
 
 from ..sim.linear import (

@@ -136,7 +136,6 @@ _SOLVER_COUNTERS = (
     "total_iterations",
     "warm_starts",
     "cold_starts",
-    "factor_time_s",
 )
 
 
@@ -373,12 +372,9 @@ def _run_randomwalk_engine(session, mode: Optional[str] = None, **options):
 
 
 # The linalg subsystem registers the "mean-block-cg" solver backend, the
-# partition subsystem the "hierarchical" engine (plus the "schur" /
-# "schwarz-cg" solver backends), the regression subsystem the
-# "pce-regression" engine and the mor subsystem the "mor" engine on
-# import; pulling them in here makes them available to everything that
-# goes through the registries.
+# regression subsystem the "pce-regression" engine and the mor subsystem the
+# "mor" engine on import; pulling them in here makes them available to
+# everything that goes through the registries.
 from .. import linalg as _linalg  # noqa: E402,F401
-from ..partition import engine as _partition_engine  # noqa: E402,F401
 from ..regression import engine as _regression_engine  # noqa: E402,F401
 from ..mor import engine as _mor_engine  # noqa: E402,F401

@@ -312,11 +312,10 @@ class Analysis:
     def solver_stats(self) -> Dict[str, Dict[str, Any]]:
         """Aggregated diagnostics of every cached solver exposing ``stats``.
 
-        Iterative backends (``cg``, ``ilu-cg``, ``schwarz-cg``) report solve
-        and iteration counters plus their most recent relative residual; the
-        partitioned ``schur`` backend reports partition and factorisation
-        diagnostics.  Counters are summed per backend name over the session's
-        cached solver instances; "latest/size" fields take the maximum.
+        Iterative backends (``cg``, ``mean-block-cg``, ``degree-block-cg``)
+        report solve and iteration counters plus their most recent relative
+        residual.  Counters are summed per backend name over the session's
+        cached solver instances; "latest" fields take the maximum.
         Backends without ``stats`` (e.g. ``direct``) contribute nothing.
         """
         aggregated: Dict[str, Dict[str, Any]] = {}
@@ -332,15 +331,12 @@ class Analysis:
                 "total_iterations",
                 "warm_starts",
                 "cold_starts",
-                "factor_time_s",
             ):
                 if stats.get(name) is not None:
                     entry[name] = entry.get(name, 0) + stats[name]
             for name in (
                 "last_iterations",
                 "last_relative_residual",
-                "num_parts",
-                "interface_nodes",
             ):
                 if stats.get(name) is not None:
                     entry[name] = max(entry.get(name, 0), stats[name])

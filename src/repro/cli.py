@@ -147,14 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes (montecarlo chunking / hierarchical block fan-out)",
-    )
-    analyze.add_argument(
-        "--partitions",
-        type=int,
-        default=None,
-        metavar="K",
-        help="schedule group count for the hierarchical engine",
+        help="worker processes (montecarlo / pce-regression chunking)",
     )
     analyze.add_argument(
         "--mor-order",
@@ -244,13 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="chunk workers inside each Monte Carlo case (default: --workers)",
-    )
-    sweep.add_argument(
-        "--partitions",
-        type=int,
-        default=None,
-        metavar="K",
-        help="schedule group count for hierarchical-engine cases",
     )
     sweep.add_argument(
         "--scheme",
@@ -383,8 +369,6 @@ def _command_analyze(args: argparse.Namespace) -> int:
         options["samples"] = args.samples
     if args.workers is not None:
         options["workers"] = args.workers
-    if args.partitions is not None:
-        options["partitions"] = args.partitions
     if getattr(args, "mor_order", None) is not None:
         options["mor_order"] = args.mor_order
     if getattr(args, "assemble", None) is not None:
@@ -471,7 +455,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
         corners=args.corners,
         samples=args.samples,
         mc_workers=args.mc_workers if args.mc_workers is not None else args.workers,
-        partitions=args.partitions,
         scheme=args.scheme,
         mor_order=args.mor_order,
         transient=transient,

@@ -1,7 +1,7 @@
 """Model order reduction extension (PRIMA-style block Arnoldi).
 
 :mod:`repro.mor.prima` provides the core reduction; the remaining modules
-compose it with the partition/stepping stack into the ``mor`` analysis
+compose it with the partitioner and the stepping loop into the ``mor`` analysis
 engine: per-atom passive macromodels (:mod:`repro.mor.macromodel`), the
 reduced block system and its dense solver (:mod:`repro.mor.reduced`), the
 stepping adapter (:mod:`repro.mor.adapter`) and the engine itself

@@ -1,9 +1,9 @@
 """The ``mor`` analysis engine: macromodel-accelerated partitioned OPERA.
 
-Runs the paper's stochastic Galerkin analysis on the same fixed atom tiling
-as the ``hierarchical`` engine, but replaces the exact per-step Schur
-condensation with a one-time PRIMA reduction of every atom's nominal
-interior (:mod:`repro.mor.macromodel`): the augmented system is projected
+Runs the paper's stochastic Galerkin analysis on a fixed atom tiling of the
+grid (:func:`repro.partition.system_partition`) and replaces every atom's
+interior by a one-time PRIMA reduction of its nominal block
+(:mod:`repro.mor.macromodel`): the augmented system is projected
 through the per-atom bases onto a small block system
 (:mod:`repro.mor.reduced`) whose size is the interface plus a handful of
 reduced coordinates per atom, the step loop marches *only* that system, and
@@ -40,8 +40,7 @@ from ..chaos.galerkin import GalerkinSystem
 from ..chaos.response import StochasticTransientResult
 from ..chaos.triples import triple_product_tensors
 from ..errors import AnalysisError
-from ..partition.engine import system_partition
-from ..partition.partitioner import GridPartition
+from ..partition.partitioner import GridPartition, system_partition
 from ..sim.transient import TransientConfig
 from ..stepping import StepLoop
 from ..telemetry import current_telemetry
@@ -64,7 +63,7 @@ DEFAULT_REDUCTION_ORDER = 2
 def mor_atom_count(num_nodes: int) -> int:
     """The engine's default atom count for a grid of ``num_nodes`` nodes.
 
-    Much coarser than the ``hierarchical`` default on purpose: the reduced
+    Coarse on purpose: the reduced
     system's size is dominated by the interface (every cut adds roughly
     ``2 sqrt(n)`` boundary nodes times the chaos-basis size), while each
     atom contributes only ``ports x q`` reduced coordinates -- so fewer,

@@ -1,15 +1,14 @@
 """Per-block passive macromodels for the partitioned stochastic engine.
 
-The ``mor`` engine tiles the grid exactly like the ``hierarchical`` engine
-(:func:`repro.partition.engine.system_partition`) but, instead of condensing
-every atom exactly per step, reduces each atom's *nominal* interior system
-``(G0_II, C0_II)`` once to a small passive macromodel with
-:func:`repro.mor.prima.prima_reduce`.  The reduction ports are
+The ``mor`` engine tiles the grid into atoms
+(:func:`repro.partition.system_partition`) and reduces each atom's
+*nominal* interior system ``(G0_II, C0_II)`` once to a small passive
+macromodel with :func:`repro.mor.prima.prima_reduce`.  The reduction ports are
 
 * the atom's interface-adjacent interior nodes (unit injections at every
   interior node structurally coupled to the partition boundary by *any*
   coefficient matrix), so the projected block reproduces the port response
-  the Schur reduction would use exactly to first order;
+  an exact Schur condensation would use, to first order;
 * the spatial directions of the block's excitation waveforms (normalised
   rows of the active chaos-coefficient tables restricted to the interior) --
   corner sweeps scale these waveforms, so the *directions* are
@@ -110,7 +109,7 @@ def block_coupling(
     boundary (the atom's reduction ports) and the boundary-local indices the
     atom couples to (the columns of its reduced coupling blocks).  The union
     runs over the nominal matrices and every sensitivity, mirroring
-    :func:`repro.partition.engine.system_partition`'s union structure.
+    :func:`repro.partition.system_partition`'s union structure.
     """
     matrices = [system.g_nominal, system.c_nominal]
     matrices += list(system.g_sensitivities.values())

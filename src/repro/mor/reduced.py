@@ -16,9 +16,8 @@ block-structured system that is never materialised globally:
 needs for its matrix-free path, so any registered stepping scheme composes
 the reduced LHS and RHS forms without special-casing.
 :class:`ReducedBlockSolver` then factors a composed LHS by dense block
-elimination -- the macromodel counterpart of
-:class:`repro.partition.schur.SchurComplement`: eliminate every reduced
-atom, factor the dense interface Schur complement, back-substitute.
+elimination: eliminate every reduced atom, factor the dense interface
+Schur complement, back-substitute.
 
 The reduced state vector is atom-major; within an atom (and within the
 boundary tail) entries are chaos-major: ``z_k[p * r_k + i]`` is chaos block
@@ -149,8 +148,7 @@ class ReducedBlockOperator:
 class ReducedBlockSolver:
     """Dense block elimination of a :class:`ReducedBlockOperator` LHS.
 
-    Mirrors :class:`repro.partition.schur.SchurComplement` on the reduced
-    system: LU-factor every atom's dense diagonal block, form the dense
+    LU-factor every atom's dense diagonal block, form the dense
     interface Schur complement ``S = S0 - sum_k F_k D_k^{-1} E_k``, and
     solve by eliminate / interface solve / back-substitute.  Direct (no
     warm start), so the shared step loop treats it like any factorisation.

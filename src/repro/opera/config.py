@@ -25,7 +25,7 @@ class OperaConfig:
         or 3 sufficient for realistic variation magnitudes.
     solver:
         Linear solver for the augmented system (any registered backend,
-        e.g. ``"direct"``, ``"cg"``, ``"ilu-cg"``, ``"mean-block-cg"``);
+        e.g. ``"direct"``, ``"cg"``, ``"mean-block-cg"``);
         defaults to the transient config's solver.
     scheme:
         Stepping-scheme spec for the augmented transient (any registered

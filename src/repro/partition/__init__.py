@@ -1,45 +1,26 @@
-"""Hierarchical partitioned power-grid analysis.
+"""Deterministic graph partitioning of power-grid systems.
 
-This package adds a divide-and-conquer layer on top of the monolithic
-engines: a deterministic graph partitioner
-(:mod:`~repro.partition.partitioner`), exact Schur-complement port
-reduction (:mod:`~repro.partition.schur`), a block-Jacobi/additive-Schwarz
-preconditioner for the CG path (:mod:`~repro.partition.preconditioner`),
-process-pool block workers (:mod:`~repro.partition.workers`) and the
-``hierarchical`` analysis engine (:mod:`~repro.partition.engine`).
+:mod:`~repro.partition.partitioner` cuts a grid's node set into mutually
+decoupled block interiors plus a global interface (vertex separator).  The
+``mor`` engine is its consumer: :func:`system_partition` gives the fixed
+atom tiling whose interiors it reduces to per-block macromodels::
 
-Importing the package registers the ``schur`` and ``schwarz-cg`` solver
-backends and the ``hierarchical`` engine::
+    from repro.partition import partition_system, system_partition
 
-    from repro.api import Analysis
-    from repro.sim.linear import make_solver
-
-    solver = make_solver(matrix, method="schur", num_parts=4)
-    result = Analysis.from_spec(2500).run("hierarchical", partitions=4)
-
-(:mod:`repro.api` imports this package, so going through the facade or the
-CLI makes the backends available automatically.)
+    partition = partition_system(stamped, 4)          # G/C structure only
+    atoms = system_partition(session.system, 2)       # + every sensitivity
 """
 
-from .engine import (
-    run_hierarchical_dc,
-    run_hierarchical_transient,
-    system_partition,
-)
 from .partitioner import (
     GridPartition,
-    augment_partition,
     coordinate_bisection,
-    default_atom_count,
     graph_bisection,
     node_coordinates,
     partition_matrix,
     partition_system,
+    system_partition,
     union_structure,
 )
-from .preconditioner import AdditiveSchwarzPreconditioner
-from .schur import SchurComplement, SchurSolver
-from .workers import HierarchicalWorkerPool, split_groups
 
 __all__ = [
     "GridPartition",
@@ -48,15 +29,6 @@ __all__ = [
     "node_coordinates",
     "partition_matrix",
     "partition_system",
-    "union_structure",
-    "augment_partition",
-    "default_atom_count",
-    "SchurComplement",
-    "SchurSolver",
-    "AdditiveSchwarzPreconditioner",
-    "HierarchicalWorkerPool",
-    "split_groups",
     "system_partition",
-    "run_hierarchical_transient",
-    "run_hierarchical_dc",
+    "union_structure",
 ]

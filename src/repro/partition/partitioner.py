@@ -3,9 +3,9 @@
 The partitioner cuts the node set of a stamped MNA system (or any sparse
 symmetric matrix) into ``num_parts`` blocks plus a *global interface*: a
 vertex separator containing every node with a neighbour in a different
-block.  Block interiors are therefore mutually decoupled -- eliminating them
-independently and condensing onto the interface is exactly the Schur
-complement reduction implemented in :mod:`repro.partition.schur`.
+block.  Block interiors are therefore mutually decoupled, so each one can
+be reduced independently against the interface (what the ``mor`` engine's
+per-atom macromodels do).
 
 Two bisection strategies are provided, both fully deterministic (stable
 sorts, index-order tie breaking, no randomness):
@@ -42,8 +42,7 @@ __all__ = [
     "partition_matrix",
     "partition_system",
     "union_structure",
-    "augment_partition",
-    "default_atom_count",
+    "system_partition",
 ]
 
 #: Node-name pattern of :func:`repro.grid.generator.node_name`.
@@ -65,8 +64,7 @@ class GridPartition:
         Sorted indices of the interface (separator) nodes.
     assignments:
         The part id every node was assigned to before separator promotion
-        (interface nodes keep theirs); useful for diagnostics and for
-        overlap-style preconditioners.
+        (interface nodes keep theirs); useful for diagnostics.
     """
 
     num_nodes: int
@@ -337,42 +335,21 @@ def union_structure(*matrices: sp.spmatrix) -> sp.csr_matrix:
     return total
 
 
-def augment_partition(partition: GridPartition, num_blocks: int) -> GridPartition:
-    """Lift a node partition to a ``kron(T, A)``-structured augmented system.
+def system_partition(system, num_atoms: int) -> GridPartition:
+    """Tile a :class:`~repro.variation.model.StochasticSystem` into ``num_atoms`` blocks.
 
-    The augmented (Galerkin) system stacks ``num_blocks`` chaos-coefficient
-    copies of the node space: augmented index ``j * n + i`` is chaos block
-    ``j`` of node ``i``.  Coupling between augmented indices exists only
-    where the underlying nodes couple, so lifting every interior (and the
-    interface) across all chaos blocks preserves the separator property.
+    The separator is computed against the union sparsity of the nominal
+    matrices *and every sensitivity matrix*, so no coupling of any germ
+    realisation crosses two interiors.  Generator-style node names enable
+    coordinate bisection; other netlists fall back to graph bisection.
     """
-    if num_blocks < 1:
-        raise AnalysisError(f"num_blocks must be at least 1, got {num_blocks}")
-    n = partition.num_nodes
-    offsets = np.arange(int(num_blocks)) * n
-
-    def lift(indices: np.ndarray) -> np.ndarray:
-        return np.sort((offsets[:, None] + indices[None, :]).ravel())
-
-    return GridPartition(
-        num_nodes=n * int(num_blocks),
-        interiors=tuple(lift(interior) for interior in partition.interiors),
-        boundary=lift(partition.boundary),
-        assignments=np.tile(partition.assignments, int(num_blocks)),
+    structure = union_structure(
+        system.g_nominal,
+        system.c_nominal,
+        *system.g_sensitivities.values(),
+        *system.c_sensitivities.values(),
     )
-
-
-def default_atom_count(num_nodes: int) -> int:
-    """The fixed fine-tiling size of the hierarchical engine.
-
-    Deterministic in the node count alone -- never in the requested
-    partition or worker count -- so the engine's statistics are bitwise
-    reproducible across schedules (see :mod:`repro.partition.engine`).
-    """
-    if num_nodes >= 4096:
-        return 8
-    if num_nodes >= 1024:
-        return 4
-    if num_nodes >= 128:
-        return 2
-    return 1
+    coords = None
+    if system.node_names is not None:
+        coords = node_coordinates(system.node_names)
+    return partition_matrix(structure, num_atoms, coords=coords)

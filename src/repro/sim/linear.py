@@ -4,10 +4,10 @@ Power-grid conductance matrices are symmetric, positive definite and very
 sparse, so the default solver is a cached sparse LU factorisation (SuperLU via
 ``scipy.sparse.linalg.splu``), which matches the "single factorisation,
 repeated solves" usage pattern of both the transient integrator and the
-special-case analysis of Section 5.1 of the paper.  Conjugate-gradient
-solvers with Jacobi or ILU preconditioning are provided for large systems
-where factorisation memory is a concern (the iterative-solver route the
-paper mentions in its implementation notes).
+special-case analysis of Section 5.1 of the paper.  A Jacobi-preconditioned
+conjugate-gradient solver is provided for large systems where
+factorisation memory is a concern (the iterative-solver route the paper
+mentions in its implementation notes).
 
 Solvers are pluggable: each backend registers a factory under a name with
 :func:`register_solver`, and :func:`make_solver` resolves names through the
@@ -287,8 +287,8 @@ class DirectSolver(LinearSolver):
 class PreconditionedCGSolver(LinearSolver):
     """Shared scaffolding of every preconditioned-CG backend.
 
-    The three CG backends of the library (``cg``/``ilu-cg`` here,
-    ``mean-block-cg`` and ``degree-block-cg`` in :mod:`repro.linalg.solvers`)
+    The three CG backends of the library (``cg`` here, ``mean-block-cg``
+    and ``degree-block-cg`` in :mod:`repro.linalg.solvers`)
     differ only in how they build their preconditioner; the solve loop, the
     diagnostics bookkeeping and the warm-started multi-RHS sweep are
     identical.  This base class holds that common machinery:
@@ -408,14 +408,11 @@ class ConjugateGradientSolver(PreconditionedCGSolver):
     matrix:
         The SPD system matrix -- an explicit sparse matrix or a lazy
         operator (e.g. :class:`repro.linalg.KronSumOperator`), in which
-        case every CG matvec runs matrix-free; only the ``"ilu"``
-        preconditioner materialises the matrix (once, for the factorisation).
+        case every CG matvec runs matrix-free.
     preconditioner:
-        ``"jacobi"`` (diagonal scaling), ``"ilu"`` (incomplete LU), ``None``,
-        or any operator-like object: a :class:`scipy.sparse.linalg.LinearOperator`,
-        an object with ``as_linear_operator()`` or ``matvec()`` (e.g. the
-        additive-Schwarz preconditioner of :mod:`repro.partition`), or a bare
-        callable applying ``M^{-1}`` to a vector.
+        ``"jacobi"`` (diagonal scaling), ``None``, a
+        :class:`scipy.sparse.linalg.LinearOperator`, or a bare callable
+        applying ``M^{-1}`` to a vector.
     rtol, maxiter:
         Convergence tolerance and iteration cap; failure to converge raises
         :class:`~repro.errors.ConvergenceError`.
@@ -454,28 +451,14 @@ class ConjugateGradientSolver(PreconditionedCGSolver):
                     raise SolverError("Jacobi preconditioner requires positive diagonal")
                 inverse_diagonal = 1.0 / diagonal
                 return spla.LinearOperator(self.shape, matvec=lambda x: inverse_diagonal * x)
-            if kind == "ilu":
-                explicit = (
-                    self._matrix.to_csr()
-                    if _is_lazy_operator(self._matrix)
-                    else self._matrix
-                )
-                ilu = spla.spilu(sp.csc_matrix(explicit), drop_tol=1e-5, fill_factor=10)
-                return spla.LinearOperator(self.shape, matvec=ilu.solve)
             raise SolverError(f"unknown preconditioner {kind!r}")
         if isinstance(kind, spla.LinearOperator):
             return kind
-        as_operator = getattr(kind, "as_linear_operator", None)
-        if callable(as_operator):
-            return as_operator()
-        matvec = getattr(kind, "matvec", None)
-        if callable(matvec):
-            return spla.LinearOperator(self.shape, matvec=matvec)
         if callable(kind):
             return spla.LinearOperator(self.shape, matvec=kind)
         raise SolverError(
-            "preconditioner must be a name, a LinearOperator, an object with "
-            f"as_linear_operator()/matvec(), or a callable; got {type(kind).__name__}"
+            "preconditioner must be a name, a LinearOperator or a callable; "
+            f"got {type(kind).__name__}"
         )
 
 
@@ -540,19 +523,16 @@ def make_solver(matrix: sp.spmatrix, method: str = "direct", **options) -> Linea
         System matrix -- an explicit sparse matrix, or a lazy operator
         (:class:`repro.linalg.KronSumOperator`).  Operators are forwarded
         as-is to backends that declare ``accepts_operator`` on their
-        factory (``mean-block-cg``, ``cg``, ``ilu-cg``, ``schwarz-cg``)
-        and materialised with ``to_csr()`` for everything else, so every
+        factory (``cg``, ``mean-block-cg``, ``degree-block-cg``) and
+        materialised with ``to_csr()`` for everything else, so every
         backend works with either input.
     method:
         Name of a registered backend; the built-ins are ``"direct"``
-        (sparse LU), ``"cg"`` (Jacobi-preconditioned CG) and ``"ilu-cg"``
-        (ILU-preconditioned CG).  Importing :mod:`repro.linalg` (or
-        :mod:`repro.api`) additionally registers ``"mean-block-cg"``
-        (matrix-free CG with the ``I_P (x) M0^{-1}`` mean-block
-        preconditioner); importing :mod:`repro.partition` registers
-        ``"schur"`` (partitioned Schur-complement direct solve) and
-        ``"schwarz-cg"`` (CG with a block-Jacobi/additive-Schwarz
-        preconditioner).
+        (sparse LU) and ``"cg"`` (Jacobi-preconditioned CG).  Importing
+        :mod:`repro.linalg` (or :mod:`repro.api`) additionally registers
+        ``"mean-block-cg"`` (matrix-free CG with the ``I_P (x) M0^{-1}``
+        mean-block preconditioner) and ``"degree-block-cg"`` (CG with one
+        preconditioner block per band of chaos degrees).
     options:
         Forwarded to the solver factory (e.g. ``rtol``, ``maxiter``).
     """
@@ -574,15 +554,6 @@ def _build_cg(matrix: sp.spmatrix, **options) -> ConjugateGradientSolver:
 
 
 _build_cg.accepts_operator = True
-
-
-@register_solver("ilu-cg")
-def _build_ilu_cg(matrix: sp.spmatrix, **options) -> ConjugateGradientSolver:
-    options["preconditioner"] = "ilu"
-    return ConjugateGradientSolver(matrix, **options)
-
-
-_build_ilu_cg.accepts_operator = True
 
 
 def matrix_fingerprint(matrix: sp.spmatrix) -> str:

@@ -61,8 +61,8 @@ class TransientConfig:
         added with :func:`repro.stepping.register_scheme`.
     solver:
         Linear solver used for the (constant) integration matrix:
-        any registered backend name, e.g. ``"direct"``, ``"cg"``,
-        ``"ilu-cg"`` or (for augmented Galerkin systems) ``"mean-block-cg"``.
+        any registered backend name, e.g. ``"direct"``, ``"cg"`` or (for
+        augmented Galerkin systems) ``"mean-block-cg"``.
     """
 
     t_stop: float

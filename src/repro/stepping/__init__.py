@@ -1,8 +1,8 @@
 """The unified time-integration core.
 
 Every transient engine of the library -- the deterministic simulator, the
-coupled and decoupled OPERA paths, the partitioned ``hierarchical`` engine
-and each Monte Carlo sample -- integrates ``C dx/dt + G x = u(t)`` with the
+coupled and decoupled OPERA paths, the reduced ``mor`` system and each
+Monte Carlo sample -- integrates ``C dx/dt + G x = u(t)`` with the
 same fixed-step machinery from this package:
 
 * :mod:`repro.stepping.schemes` -- the :class:`SteppingScheme` registry
@@ -15,7 +15,7 @@ same fixed-step machinery from this package:
   warm-started iterative solves and step callbacks;
 * :mod:`repro.stepping.adapters` -- the :class:`SystemAdapter`
   implementations wiring the engines' systems (deterministic MNA,
-  augmented Galerkin, decoupled tracks, partitioned Schur) onto the loop.
+  augmented Galerkin, decoupled tracks) onto the loop.
 
 Pick a scheme anywhere a time axis is configured::
 
@@ -29,7 +29,6 @@ from .adapters import (
     DecoupledSystemAdapter,
     GalerkinSystemAdapter,
     MnaSystemAdapter,
-    SchurSystemAdapter,
     StackedRhsSeries,
 )
 from .loop import (
@@ -77,7 +76,6 @@ __all__ = [
     "MnaSystemAdapter",
     "GalerkinSystemAdapter",
     "DecoupledSystemAdapter",
-    "SchurSystemAdapter",
     "StackedRhsSeries",
     "BlockDiagonalSolver",
 ]

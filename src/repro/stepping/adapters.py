@@ -1,6 +1,7 @@
 """Concrete :class:`~repro.stepping.loop.SystemAdapter` implementations.
 
-Four adapters cover every transient engine of the library:
+Three adapters cover the library's transient engines (the ``mor`` engine
+brings its own, :class:`repro.mor.adapter.MorSystemAdapter`):
 
 :class:`MnaSystemAdapter`
     The deterministic MNA system ``C dx/dt + G x = u(t)`` with explicit
@@ -18,11 +19,6 @@ Four adapters cover every transient engine of the library:
     excitation): the state stacks the active chaos coefficients, the step
     matrix is ``I_J (x) (a G + b C/h)``, so one ``n x n`` factorisation
     serves every coefficient and each step is a single multi-RHS solve.
-:class:`SchurSystemAdapter`
-    The partitioned augmented system of the ``hierarchical`` engine: LHS
-    solves through the exact Schur-complement port reduction (optionally
-    fanned over a worker pool), per-step RHS products through the
-    matrix-free operators.
 
 All solver construction is funnelled through a caller-supplied
 ``solver_factory`` (defaulting to :func:`repro.sim.linear.make_solver`), so
@@ -32,7 +28,7 @@ keeps working across every engine.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,7 +41,6 @@ __all__ = [
     "MnaSystemAdapter",
     "GalerkinSystemAdapter",
     "DecoupledSystemAdapter",
-    "SchurSystemAdapter",
     "StackedRhsSeries",
     "BlockDiagonalSolver",
 ]
@@ -413,139 +408,3 @@ class DecoupledSystemAdapter(SystemAdapter):
             dc_solver_factory=lambda: self._block_solver(self._conductance),
             rhs_series=self._series,
         )
-
-
-# ---------------------------------------------------------------------------
-# Partitioned Schur (the hierarchical engine)
-# ---------------------------------------------------------------------------
-class SchurSystemAdapter(SystemAdapter):
-    """The augmented system behind the exact Schur-complement reduction.
-
-    LHS solves go through :class:`~repro.partition.schur.SchurComplement`
-    objects built on the *explicit* augmented matrices (optionally with a
-    process-pool block backend), while the per-step RHS products reuse the
-    matrix-free Kronecker-sum operators -- applying them costs the grid
-    fill, not the kron fill.  ``solver`` selects the step backend:
-    ``"schur"`` (default, exact direct reduction) or any other registered
-    backend, which receives the matrix-free stepping operator (plus the
-    augmented partition, for backends declaring ``accepts_partition`` such
-    as ``"schwarz-cg"``); iterative backends are warm-started by the
-    shared loop.
-    """
-
-    def __init__(
-        self,
-        galerkin,
-        partition,
-        *,
-        groups: Sequence[Sequence[int]],
-        workers: int = 1,
-        solver: str = "schur",
-        solver_options: Optional[Mapping] = None,
-    ):
-        self._galerkin = galerkin
-        self._partition = partition
-        self._groups = [list(group) for group in groups]
-        self._workers = int(workers)
-        self.solver = str(solver)
-        self._options = dict(solver_options or {})
-        self._pool = None
-        #: Populated by :meth:`prepare`; the engine reads these for stats.
-        self.schur_dc = None
-        self.schur_step = None
-        self.step_solver = None
-
-    @property
-    def size(self) -> int:
-        return self._galerkin.size
-
-    def interface_stats(self) -> Tuple[int, float]:
-        """``(interface size, factor seconds)`` of the dominant reduction."""
-        schur = self.schur_step if self.schur_step is not None else self.schur_dc
-        if schur is None:
-            return 0, 0.0
-        return int(schur.partition.boundary.size), float(schur.factor_time)
-
-    def prepare(self, scheme: SteppingScheme, times: np.ndarray, h: float) -> PreparedSystem:
-        from ..partition.schur import SchurComplement
-        from ..partition.workers import HierarchicalWorkerPool
-
-        # A re-run rebuilds everything; release the previous run's pool
-        # first so repeated StepLoop.run calls never orphan workers.
-        self.close()
-        galerkin = self._galerkin
-        conductance = galerkin.conductance.tocsr()
-        # The Schur reduction needs explicit matrices; the per-step RHS
-        # products stay matrix-free (operator forms, hoisted scalings).
-        operator_forms = step_forms(
-            scheme,
-            galerkin.conductance_operator,
-            galerkin.capacitance_operator,
-            h,
-            matrix_free=True,
-        )
-        use_schur_step = self.solver == "schur"
-        if use_schur_step:
-            stepping = step_forms(
-                scheme, conductance, galerkin.capacitance.tocsr(), h, matrix_free=False
-            ).lhs
-        else:
-            stepping = operator_forms.lhs
-
-        matrices = {"dc": conductance}
-        if use_schur_step:
-            matrices["step"] = stepping
-        if self._workers > 1 and len(self._groups) > 1:
-            self._pool = HierarchicalWorkerPool(
-                self._workers,
-                matrices=matrices,
-                partition=self._partition,
-                groups=self._groups,
-            )
-        try:
-            dc_backend = self._pool.backend("dc") if self._pool is not None else None
-            self.schur_dc = SchurComplement(conductance, self._partition, backend=dc_backend)
-            if use_schur_step:
-                step_backend = self._pool.backend("step") if self._pool is not None else None
-                self.step_solver = SchurComplement(
-                    stepping, self._partition, backend=step_backend
-                )
-                self.schur_step = self.step_solver
-            else:
-                from ..sim.linear import solver_factory
-
-                # Partition-aware backends (schur, schwarz-cg) opt in via
-                # `accepts_partition` on their factory and receive the augmented
-                # partition for their block structure; every other backend
-                # (cg, mean-block-cg, ...) just solves the stepping operator.
-                options = dict(self._options)
-                if getattr(solver_factory(self.solver), "accepts_partition", False):
-                    options.setdefault("partition", self._partition)
-                self.step_solver = _default_factory()(stepping, method=self.solver, **options)
-
-            forms = StepForms(
-                scheme=operator_forms.scheme,
-                lhs=stepping,
-                rhs_capacitance=operator_forms.rhs_capacitance,
-                rhs_conductance=operator_forms.rhs_conductance,
-                rhs_u_new=operator_forms.rhs_u_new,
-                rhs_u_old=operator_forms.rhs_u_old,
-                matrix_free=True,
-            )
-            schur_dc = self.schur_dc
-            return PreparedSystem(
-                forms=forms,
-                step_solver=self.step_solver,
-                dc_solver_factory=lambda: schur_dc,
-                rhs_series=galerkin.rhs_series(times),
-            )
-        except BaseException:
-            # A failing preparation (singular block, bad backend options)
-            # must not orphan the worker pool it just spawned.
-            self.close()
-            raise
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None

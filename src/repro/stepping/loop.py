@@ -2,11 +2,11 @@
 
 One :class:`StepLoop` drives every transient engine of the library -- the
 deterministic simulator, the coupled (augmented Galerkin) OPERA engine, the
-decoupled special case, the partitioned (Schur) engine and each Monte Carlo
+decoupled special case, the reduced ``mor`` system and each Monte Carlo
 sample.  The loop owns everything the per-engine copies used to duplicate:
 
-* the preallocated work buffers of the matrix-free path (nothing is
-  allocated per step);
+* the preallocated RHS work buffers (one assembly path for explicit CSR
+  forms and matrix-free operators alike);
 * the ``rhs_series`` double-buffering (per-step excitation becomes a buffer
   fill, with the two buffers swapped instead of copied);
 * warm starting -- solvers whose ``solve`` accepts an ``x0`` initial guess
@@ -50,7 +50,7 @@ def supports_warm_start(solver) -> bool:
 
     The loop consults this once per run for whatever solver the adapter
     supplied -- iterative backends (``cg``, ``mean-block-cg``,
-    ``degree-block-cg``, ``schwarz-cg``) opt in simply by having the
+    ``degree-block-cg``) opt in simply by having the
     parameter, direct backends by not having it.
     """
     try:
@@ -96,7 +96,7 @@ class SystemAdapter(abc.ABC):
 
     Concrete adapters (:mod:`repro.stepping.adapters`) wrap the
     deterministic MNA system, the augmented Galerkin system (explicit or
-    matrix-free) and the partitioned Schur reduction.
+    matrix-free) and the decoupled chaos tracks.
     """
 
     @property
@@ -107,17 +107,6 @@ class SystemAdapter(abc.ABC):
     @abc.abstractmethod
     def prepare(self, scheme: SteppingScheme, times: np.ndarray, h: float) -> PreparedSystem:
         """Hoist forms, build solvers and bind the excitation for one run."""
-
-    def close(self) -> None:
-        """Release per-run resources (worker pools); default: nothing."""
-
-    def __enter__(self) -> "SystemAdapter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        # Context-manager form of the engines' ``try/finally adapter.close()``
-        # pattern: a raising march cannot orphan worker pools.
-        self.close()
 
 
 @dataclass
@@ -227,13 +216,19 @@ class StepLoop:
         record = telemetry.enabled
         step_stats = StepStats() if record else None
         solver_diag = getattr(solver, "stats", None) if record else None
-        matrix_free = forms.matrix_free
         two_term = forms.rhs_u_old != 0.0
         rhs_capacitance = forms.rhs_capacitance
         rhs_conductance = forms.rhs_conductance
-        if matrix_free:
-            work = np.empty(n)
-            b = np.empty(n)
+        matrix_free = forms.matrix_free
+        work = np.empty(n)
+        b = np.empty(n)
+
+        def product(matrix, vector: np.ndarray) -> np.ndarray:
+            """``matrix @ vector`` written into ``work``, either representation."""
+            if matrix_free:
+                return matrix.matvec(vector, out=work)
+            np.copyto(work, matrix @ vector)
+            return work
 
         history = np.empty((times.size, n)) if store else None
         if store:
@@ -252,49 +247,16 @@ class StepLoop:
                     rhs_now = np.asarray(rhs_function(t), dtype=float)
 
                 # --------------------------------------------- RHS assembly
-                # The branch structure mirrors the historical per-engine
-                # loops exactly (term order included) so the default schemes
-                # keep their floating-point trajectories bit for bit.
-                if matrix_free:
-                    if two_term:
-                        if forms.rhs_u_old == 1.0 and forms.rhs_u_new == 1.0:
-                            np.add(rhs_now, rhs_previous, out=b)
-                        else:
-                            np.multiply(rhs_previous, forms.rhs_u_old, out=b)
-                            if forms.rhs_u_new == 1.0:
-                                b += rhs_now
-                            else:
-                                b += forms.rhs_u_new * rhs_now
-                        if rhs_capacitance is not None:
-                            rhs_capacitance.matvec(x, out=work)
-                            b += work
-                    else:
-                        if rhs_capacitance is not None:
-                            rhs_capacitance.matvec(x, out=work)
-                            if forms.rhs_u_new == 1.0:
-                                np.add(rhs_now, work, out=b)
-                            else:
-                                np.multiply(rhs_now, forms.rhs_u_new, out=b)
-                                b += work
-                        else:
-                            np.multiply(rhs_now, forms.rhs_u_new, out=b)
-                    if rhs_conductance is not None:
-                        rhs_conductance.matvec(x, out=work)
-                        b -= work
-                else:
-                    if forms.rhs_u_new == 1.0:
-                        b = rhs_now if two_term else rhs_now.copy()
-                    else:
-                        b = forms.rhs_u_new * rhs_now
-                    if two_term:
-                        if forms.rhs_u_old == 1.0:
-                            b = b + rhs_previous
-                        else:
-                            b = b + forms.rhs_u_old * rhs_previous
-                    if rhs_capacitance is not None:
-                        b = b + rhs_capacitance @ x
-                    if rhs_conductance is not None:
-                        b = b - rhs_conductance @ x
+                # b = p u_{k+1} + q u_k + c (C/h) x_k - |d| G x_k, in place.
+                # Unit coefficients cost a pass but no rounding (x * 1.0 is
+                # exact), so every scheme takes this one path.
+                np.multiply(rhs_now, forms.rhs_u_new, out=b)
+                if two_term:
+                    b += np.multiply(rhs_previous, forms.rhs_u_old, out=work)
+                if rhs_capacitance is not None:
+                    b += product(rhs_capacitance, x)
+                if rhs_conductance is not None:
+                    b -= product(rhs_conductance, x)
 
                 x = solver.solve(b, x0=x) if warm_start else solver.solve(b)
                 if record:

@@ -298,8 +298,8 @@ class StepForms:
     zero; the conductance term is stored positively and *subtracted* by the
     loop, matching the sign convention of the built-in schemes).  All three
     share the representation of the inputs -- explicit CSR or lazy
-    operator; ``matrix_free`` records which, and drives whether the loop
-    uses ``matvec(x, out=...)`` buffers or plain ``@`` products.
+    operator; ``matrix_free`` records which, and picks whether the loop
+    applies them with ``matvec(x, out=...)`` or a plain ``@`` product.
     """
 
     scheme: SteppingScheme

@@ -70,8 +70,10 @@ A benchmark artifact is a single JSON object::
           "corner": "paper",                 # variation corner name
           "order": 2,                        # chaos order, or null
           "samples": null,                   # MC sample count, or null
-          "partitions": null,                # hierarchical schedule groups,
-          "seed": 123456789,                 #   or null; the deterministic seed
+          "solver": null,                    # solver backend, or null
+          "scheme": null,                    # stepping scheme, or null
+          "mor_order": null,                 # mor reduction order, or null
+          "seed": 123456789,                 # the deterministic case seed
           "wall_time_s": 0.41,               # engine wall time, seconds
           "worst_drop_v": 0.132,             # max mean drop, volts
           "max_std_v": 0.011,                # max sigma, volts
@@ -81,11 +83,11 @@ A benchmark artifact is a single JSON object::
     }
 
 Cases are matched across artifacts by the identity tuple ``(engine, nodes,
-order, samples, corner, partitions)``; ``name`` is derived from the same
-fields.  ``partitions`` (added with the partition subsystem) is optional on
-read, so older artifacts remain loadable: their cases carry ``None``, which
-matches current non-partitioned cases.  The ``schema`` string is bumped on
-any backwards-incompatible change, and readers reject artifacts with an
+order, samples, corner)``, extended by ``solver`` and ``scheme`` when set;
+``name`` is derived from the same fields.  Optional fields may be absent on
+read, and artifacts written while the ``hierarchical`` engine existed load
+with their ``partitions`` entries ignored.  The ``schema`` string is bumped
+on any backwards-incompatible change, and readers reject artifacts with an
 unknown schema.
 """
 

@@ -41,7 +41,7 @@ __all__ = [
 DEFAULT_SWEEP_TRANSIENT = TransientConfig(t_stop=2.4e-9, dt=0.2e-9)
 
 #: Engines whose options include a chaos expansion order.
-_CHAOS_ENGINES = ("opera", "decoupled", "hierarchical", "pce-regression", "mor")
+_CHAOS_ENGINES = ("opera", "decoupled", "pce-regression", "mor")
 
 #: Engines that consume germ samples (and therefore chunked ``workers`` /
 #: ``chunk_size`` settings plus a sample count in their identity).
@@ -106,15 +106,10 @@ class SweepCase:
     worker count; ``workers`` is therefore excluded from the case identity
     (:meth:`key`, :attr:`name`, seeds).
 
-    ``partitions`` applies to the ``hierarchical`` engine only: the schedule
-    group count ``K`` of the partitioned Galerkin run.  It *is* part of the
-    case identity (it is what a partition ablation sweeps), even though the
-    engine guarantees the statistics are bit-identical for every ``K``.
-
     ``solver`` selects a registered linear-solver backend for the case
-    (``None`` keeps the engine default); like ``partitions`` it is part of
-    the case identity when set -- a solver ablation (e.g. explicit ``direct``
-    vs matrix-free ``mean-block-cg``) sweeps exactly this field.
+    (``None`` keeps the engine default); it is part of the case identity
+    when set -- a solver ablation (e.g. explicit ``direct`` vs matrix-free
+    ``mean-block-cg``) sweeps exactly this field.
 
     ``scheme`` selects a registered stepping scheme for the case's
     transient (``None`` keeps the plan transient's method); when set it
@@ -139,7 +134,6 @@ class SweepCase:
     store_nodes: Tuple[int, ...] = ()
     workers: int = 1
     chunk_size: int = DEFAULT_CHUNK_SIZE
-    partitions: Optional[int] = None
     solver: Optional[str] = None
     scheme: Optional[str] = None
     mor_order: Optional[int] = None
@@ -150,14 +144,6 @@ class SweepCase:
             raise AnalysisError(f"cases need at least 4 nodes, got {self.nodes}")
         if self.workers < 1:
             raise AnalysisError(f"workers must be at least 1, got {self.workers}")
-        if self.partitions is not None:
-            if self.engine != "hierarchical":
-                raise AnalysisError(
-                    "partitions only applies to the 'hierarchical' engine; "
-                    f"got engine {self.engine!r}"
-                )
-            if self.partitions < 1:
-                raise AnalysisError(f"partitions must be at least 1, got {self.partitions}")
         if self.solver is not None and not str(self.solver).strip():
             raise AnalysisError("solver must be a non-empty backend name or None")
         if self.mor_order is not None:
@@ -195,8 +181,6 @@ class SweepCase:
             parts.append(f"o{self.order}")
         if self.samples is not None:
             parts.append(f"s{self.samples}")
-        if self.partitions is not None:
-            parts.append(f"p{self.partitions}")
         if self.solver is not None:
             parts.append(self.solver)
         if self.scheme is not None:
@@ -209,18 +193,11 @@ class SweepCase:
     def key(self) -> Tuple:
         """Identity used to match cases across sweeps (excludes seeds).
 
-        ``solver`` and ``scheme`` are appended only when set, so the
-        identities (and hence the derived seeds) of cases without them
-        predate and survive the fields' introduction.
+        Optional fields (``solver``, ``scheme``, ``mor_order``) are appended
+        *only when set*, so the identities (and hence the derived seeds) of
+        cases without them predate and survive the fields' introduction.
         """
-        identity = (
-            self.engine,
-            self.nodes,
-            self.order,
-            self.samples,
-            self.corner,
-            self.partitions,
-        )
+        identity = (self.engine, self.nodes, self.order, self.samples, self.corner)
         if self.solver is not None:
             identity = identity + (self.solver,)
         if self.scheme is not None:
@@ -230,25 +207,13 @@ class SweepCase:
         return identity
 
     def seed_identity(self) -> Tuple:
-        """The identity tuple seed derivation uses (append-only convention).
+        """The identity tuple seed derivation uses: :meth:`key`.
 
-        Unlike :meth:`key`, optional fields (``partitions``, ``solver``,
-        ``scheme``) join the tuple *only when set*, so the seeds of case
-        identities that predate those fields survive their introduction.
         Hand-built cases should derive their seed with
         :meth:`with_derived_seed` -- exactly what :meth:`SweepPlan.grid`
         does.
         """
-        identity = (self.engine, self.nodes, self.order, self.samples, self.corner)
-        if self.partitions is not None:
-            identity = identity + (self.partitions,)
-        if self.solver is not None:
-            identity = identity + (self.solver,)
-        if self.scheme is not None:
-            identity = identity + (self.scheme,)
-        if self.mor_order is not None:
-            identity = identity + (self.mor_order,)
-        return identity
+        return self.key()
 
     def store_key(self) -> str:
         """The case's results-store key (see :mod:`repro.sweep.store`).
@@ -289,8 +254,6 @@ class SweepCase:
         options: Dict = {}
         if self.order is not None:
             options["order"] = int(self.order)
-        if self.partitions is not None:
-            options["partitions"] = int(self.partitions)
         if self.solver is not None:
             options["solver"] = str(self.solver)
         if self.scheme is not None:
@@ -376,7 +339,6 @@ class SweepPlan:
         antithetic: bool = True,
         mc_workers: int = 1,
         mc_chunk_size: int = DEFAULT_CHUNK_SIZE,
-        partitions: Optional[int] = None,
         scheme: Optional[str] = None,
         mor_order: Optional[int] = None,
         transient: Optional[TransientConfig] = None,
@@ -397,11 +359,6 @@ class SweepPlan:
         depend on it, but never on ``mc_workers``).  With ``antithetic``,
         ``samples`` is rounded up to even so (xi, -xi) pairs fill whole
         chunks.
-
-        ``partitions`` sets the schedule group count of every
-        ``hierarchical`` case (their statistics are bit-identical for any
-        value; the setting is recorded in the case identity for partition
-        ablations).  Non-partitioned engines ignore it.
 
         ``scheme`` overrides the stepping scheme of every case (``None``
         keeps the plan transient's method); set it on individual hand-built
@@ -424,11 +381,6 @@ class SweepPlan:
                     engine_orders = orders if engine in _CHAOS_ENGINES else (None,)
                     for order in engine_orders:
                         engine_samples = samples if engine in _SAMPLED_ENGINES else None
-                        case_partitions = (
-                            int(partitions)
-                            if engine == "hierarchical" and partitions is not None
-                            else None
-                        )
                         case_mor_order = (
                             int(mor_order)
                             if engine == "mor" and mor_order is not None
@@ -444,7 +396,6 @@ class SweepPlan:
                             antithetic=bool(antithetic) if engine == "montecarlo" else False,
                             workers=int(mc_workers) if engine in _SAMPLED_ENGINES else 1,
                             chunk_size=int(mc_chunk_size),
-                            partitions=case_partitions,
                             scheme=None if scheme is None else str(scheme),
                             mor_order=case_mor_order,
                         )

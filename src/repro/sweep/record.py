@@ -93,12 +93,10 @@ class BenchRecord:
     def case_map(self) -> Dict[Tuple, Dict]:
         """Cases keyed by their cross-sweep identity (engine/grid/settings).
 
-        ``partitions`` joined the identity with the partition subsystem and
-        ``solver`` with the matrix-free linalg subsystem; ``.get`` keeps
-        artifacts written before those fields readable (their cases match
-        current cases that carry ``None``).  Like
-        :meth:`~repro.sweep.plan.SweepCase.key`, ``solver`` extends the
-        identity only when set.
+        Like :meth:`~repro.sweep.plan.SweepCase.key`, ``solver`` and
+        ``scheme`` extend the identity only when set; ``.get`` keeps
+        artifacts written before those fields readable.  A legacy
+        ``partitions`` entry is ignored.
         """
         mapping: Dict[Tuple, Dict] = {}
         for case in self.cases:
@@ -108,7 +106,6 @@ class BenchRecord:
                 case["order"],
                 case["samples"],
                 case["corner"],
-                case.get("partitions"),
             )
             if case.get("solver") is not None:
                 identity = identity + (case["solver"],)

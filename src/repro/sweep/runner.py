@@ -38,7 +38,6 @@ from ..montecarlo.statistics import RunningMoments
 from ..sim.transient import TransientConfig
 from ..telemetry import merge_summaries, profile
 from .plan import SweepCase, SweepPlan, corner_spec
-from .shm import pack_result, release_unconsumed, shm_supported, unpack_result
 from .store import MemoryBackend, ResultsBackend
 
 __all__ = ["SweepRunner", "SweepCaseResult", "SweepOutcome", "speedups_for"]
@@ -69,7 +68,6 @@ class SweepCaseResult:
     worst_drop: float
     max_std: float
     vdd: float = 1.0
-    partitions: Optional[int] = None
     solver: Optional[str] = None
     scheme: Optional[str] = None
     mor_order: Optional[int] = None
@@ -83,18 +81,11 @@ class SweepCaseResult:
     def key(self) -> Tuple:
         """Identity used to match results across sweeps (excludes seeds).
 
-        Mirrors :meth:`repro.sweep.plan.SweepCase.key`: ``solver`` and
-        ``scheme`` join the identity only when set, so pre-existing
-        identities are unchanged.
+        Mirrors :meth:`repro.sweep.plan.SweepCase.key`: optional fields
+        join the identity only when set, so pre-existing identities are
+        unchanged.
         """
-        identity = (
-            self.engine,
-            self.nodes,
-            self.order,
-            self.samples,
-            self.corner,
-            self.partitions,
-        )
+        identity = (self.engine, self.nodes, self.order, self.samples, self.corner)
         if self.solver is not None:
             identity = identity + (self.solver,)
         if self.scheme is not None:
@@ -135,7 +126,6 @@ class SweepCaseResult:
             "corner": self.corner,
             "order": None if self.order is None else int(self.order),
             "samples": None if self.samples is None else int(self.samples),
-            "partitions": None if self.partitions is None else int(self.partitions),
             "solver": None if self.solver is None else str(self.solver),
             "scheme": None if self.scheme is None else str(self.scheme),
             "mor_order": None if self.mor_order is None else int(self.mor_order),
@@ -296,7 +286,6 @@ def result_from_view(
         corner=case.corner,
         order=case.order,
         samples=case.samples,
-        partitions=case.partitions,
         solver=case.solver,
         scheme=case.scheme,
         mor_order=case.mor_order,
@@ -320,29 +309,23 @@ def result_from_view(
 
 def _execute_case(args) -> SweepCaseResult:
     """Run one case (module-level so process pools can pickle it)."""
-    case, transient, keep_statistics, keep_raw, profile_case, use_shm = args
+    case, transient, keep_statistics, keep_raw, profile_case = args
     session = _session_for(case, transient)
-    result = _run_case(case, session, keep_statistics, keep_raw, profile_case)
-    if use_shm:
-        result = pack_result(result)
-    return result
+    return _run_case(case, session, keep_statistics, keep_raw, profile_case)
 
 
-def _execute_group(args) -> List[Tuple[SweepCase, object]]:
+def _execute_group(args) -> List[Tuple[SweepCase, SweepCaseResult]]:
     """Run one topology group of cases through the batched runner."""
     from .batch import BatchedCaseRunner  # deferred: avoids an import cycle
 
-    cases, transient, keep_statistics, keep_raw, profile_case, use_shm = args
+    cases, transient, keep_statistics, keep_raw, profile_case = args
     runner = BatchedCaseRunner(
         transient,
         keep_statistics=keep_statistics,
         keep_raw=keep_raw,
         profile_case=profile_case,
     )
-    executed = runner.run_group(cases)
-    if use_shm:
-        executed = [(case, pack_result(result)) for case, result in executed]
-    return executed
+    return runner.run_group(cases)
 
 
 # --------------------------------------------------------------------------
@@ -561,7 +544,6 @@ class SweepRunner:
         retain_sessions: bool = False,
         telemetry: bool = False,
         batch: bool = False,
-        shared_memory: Optional[bool] = None,
     ):
         if workers < 1:
             raise AnalysisError(f"workers must be at least 1, got {workers}")
@@ -574,11 +556,6 @@ class SweepRunner:
         #: (see :mod:`repro.sweep.batch`) instead of one case per task.
         #: Per-case statistics are bit-identical either way.
         self.batch = bool(batch)
-        #: Ship statistics arrays through shared memory instead of pickling
-        #: them back from pool workers; ``None`` auto-enables where POSIX
-        #: shared memory exists.  Only used on the pooled path with
-        #: ``keep_statistics=True``.
-        self.shared_memory = shm_supported() if shared_memory is None else bool(shared_memory)
 
     def run(self, plan: SweepPlan, store: Optional[ResultsBackend] = None) -> SweepOutcome:
         """Execute the cases of ``plan`` that ``store`` does not already hold.
@@ -619,17 +596,9 @@ class SweepRunner:
         pooled_cases = [case for case in pending if case not in driver_set]
 
         pooled = self.workers > 1 and len(pooled_cases) > 1
-        use_shm = pooled and self.shared_memory and self.keep_statistics and not self.keep_raw
 
         def job(payload) -> Tuple:
-            return (
-                payload,
-                plan.transient,
-                self.keep_statistics,
-                self.keep_raw,
-                self.telemetry,
-                use_shm,
-            )
+            return (payload, plan.transient, self.keep_statistics, self.keep_raw, self.telemetry)
 
         try:
             if self.batch:
@@ -639,31 +608,25 @@ class SweepRunner:
                     max_workers=min(self.workers, len(pooled_cases))
                 ) as pool:
                     futures = {pool.submit(_execute_case, job(case)): case for case in pooled_cases}
-                    consumed = set()
                     try:
                         # Driver-side MC cases overlap with the pool's work.
                         for case in driver_cases:
-                            backend.append(case, _execute_case(job(case)[:-1] + (False,)))
+                            backend.append(case, _execute_case(job(case)))
                         # Stream pooled results into the backend as they
                         # finish, not in submission order: the backend owns
                         # ordering (the outcome view reads in plan order) and
                         # an interrupt loses only the unflushed tail, not
                         # everything after the first straggler.
                         for future in as_completed(futures):
-                            result = unpack_result(future.result())
-                            consumed.add(future)
-                            backend.append(futures[future], result)
+                            backend.append(futures[future], future.result())
                     except BaseException:
-                        # Abort: stop feeding the pool, let in-flight cases
-                        # finish, then unlink any shared-memory segments of
-                        # results the driver will never consume.
+                        # Abort: stop feeding the pool and let in-flight
+                        # cases finish before the pool is torn down.
                         pool.shutdown(wait=True, cancel_futures=True)
                         raise
-                    finally:
-                        release_unconsumed(futures, consumed)
             else:
                 for case in pending:
-                    backend.append(case, _execute_case(job(case)[:-1] + (False,)))
+                    backend.append(case, _execute_case(job(case)))
         finally:
             # Cases executed in this process cached their sessions in the
             # module-global; drop them so long-lived drivers do not leak
@@ -691,23 +654,16 @@ class SweepRunner:
         groups = group_cases(pooled_cases)
         if pooled and len(groups) > 1:
             with ProcessPoolExecutor(max_workers=min(self.workers, len(groups))) as pool:
-                futures = {
-                    pool.submit(_execute_group, job(tuple(group))): group for group in groups
-                }
-                consumed = set()
+                futures = [pool.submit(_execute_group, job(tuple(group))) for group in groups]
                 try:
                     for case in driver_cases:
-                        backend.append(case, _execute_case(job(case)[:-1] + (False,)))
+                        backend.append(case, _execute_case(job(case)))
                     for future in as_completed(futures):
-                        executed = future.result()
-                        consumed.add(future)
-                        for case, result in executed:
-                            backend.append(case, unpack_result(result))
+                        for case, result in future.result():
+                            backend.append(case, result)
                 except BaseException:
                     pool.shutdown(wait=True, cancel_futures=True)
                     raise
-                finally:
-                    release_unconsumed(futures, consumed)
         else:
             runner = BatchedCaseRunner(
                 plan.transient,
@@ -719,7 +675,7 @@ class SweepRunner:
                 for case, result in runner.run_group(group):
                     backend.append(case, result)
             for case in driver_cases:
-                backend.append(case, _execute_case(job(case)[:-1] + (False,)))
+                backend.append(case, _execute_case(job(case)))
 
     def resume(self, plan: SweepPlan, store: ResultsBackend) -> SweepOutcome:
         """Continue an interrupted campaign from ``store``.

@@ -244,7 +244,6 @@ def _result_from_entry(entry: Dict, times, mean, std):
         worst_drop=float(entry["worst_drop_v"]),
         max_std=float(entry["max_std_v"]),
         vdd=float(entry["vdd"]),
-        partitions=None if entry["partitions"] is None else int(entry["partitions"]),
         solver=None if entry["solver"] is None else str(entry["solver"]),
         scheme=None if entry["scheme"] is None else str(entry["scheme"]),
         telemetry=entry.get("telemetry"),

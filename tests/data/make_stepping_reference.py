@@ -1,10 +1,11 @@
 """Regenerate ``stepping_reference.npz`` -- frozen pre-refactor waveforms.
 
-The archive pins the mean/std waveforms the four stochastic engines
-produced *before* the shared ``repro.stepping`` core existed (PR 5), for
-both one-step methods.  ``tests/test_stepping.py`` asserts that the
-rewired engines still reproduce these numbers to <= 1e-12, which is the
-refactor's no-behaviour-change contract.
+The archive pins the mean/std waveforms the stochastic engines produced
+*before* the shared ``repro.stepping`` core existed, for both one-step
+methods.  ``tests/test_stepping.py`` asserts that the rewired engines
+still reproduce these numbers to <= 1e-12, which is the refactor's
+no-behaviour-change contract.  The committed archive also holds arrays of
+the since-removed ``hierarchical`` engine; nothing reads them.
 
 Regenerate (only after an *intentional* numerical change) with::
 
@@ -53,7 +54,6 @@ def main() -> None:
     for method in METHODS:
         runs = {
             "opera": paper.run("opera", order=ORDER, method=method),
-            "hierarchical": paper.run("hierarchical", order=ORDER, method=method),
             "montecarlo": paper.run(
                 "montecarlo",
                 samples=MC_SAMPLES,

@@ -176,8 +176,12 @@ class TestEngines:
         )
 
     def test_unknown_engine_lists_choices(self, session):
-        with pytest.raises(AnalysisError, match="registered engines"):
-            session.run("bogus")
+        listing = "registered engines: " + ", ".join(engine_names())
+        # Typos and engines that no longer exist fail the same way.
+        for name in ("bogus", "hierarchical"):
+            with pytest.raises(AnalysisError, match="registered engines") as info:
+                session.run(name)
+            assert listing in str(info.value)
 
     def test_unknown_option_rejected(self, session):
         with pytest.raises(AnalysisError, match="unknown option"):
@@ -297,12 +301,16 @@ class TestEngineRegistry:
 class TestSolverRegistry:
     def test_builtin_solver_names(self):
         names = solver_names()
-        for expected in ("direct", "cg", "ilu-cg"):
+        for expected in ("direct", "cg", "mean-block-cg", "degree-block-cg"):
             assert expected in names
 
     def test_unknown_solver_lists_choices(self, small_stamped):
-        with pytest.raises(SolverError, match="registered solvers"):
-            make_solver(small_stamped.conductance, method="bogus")
+        listing = "registered solvers: " + ", ".join(solver_names())
+        # Typos and backends that no longer exist fail the same way.
+        for name in ("bogus", "schur", "schwarz-cg", "ilu-cg"):
+            with pytest.raises(SolverError, match="registered solvers") as info:
+                make_solver(small_stamped.conductance, method=name)
+            assert listing in str(info.value)
 
     def test_register_custom_solver_reaches_engines(self, small_netlist):
         calls = []
@@ -446,16 +454,18 @@ class TestCLIEngineFlags:
         assert "worst_drop" in out
 
     def test_analyze_unknown_engine_fails_with_listing(self, capsys):
-        code = cli_main(["analyze", *self.COMMON, "--engine", "bogus"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "registered engines" in err
+        for name in ("bogus", "hierarchical"):
+            code = cli_main(["analyze", *self.COMMON, "--engine", name])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "registered engines: " + ", ".join(engine_names()) in err
 
     def test_analyze_unknown_solver_fails_with_listing(self, capsys):
-        code = cli_main(["analyze", *self.COMMON, "--solver", "bogus"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "registered solvers" in err
+        for name in ("bogus", "schur", "schwarz-cg", "ilu-cg"):
+            code = cli_main(["analyze", *self.COMMON, "--solver", name])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "registered solvers: " + ", ".join(solver_names()) in err
 
     def test_analyze_with_cg_solver(self, capsys):
         code = cli_main(["analyze", *self.COMMON, "--solver", "cg"])
@@ -517,7 +527,6 @@ class TestTelemetryStepStats:
         "decoupled": {"order": 1},
         "montecarlo": {"samples": 4, "seed": 1, "workers": 1},
         "deterministic": {},
-        "hierarchical": {"partitions": 2},
         "pce-regression": {"order": 1, "samples": 12, "seed": 1},
     }
 

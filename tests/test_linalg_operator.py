@@ -314,13 +314,6 @@ class TestMeanBlockCGSolver:
         reference = make_solver(operator.to_csr(), method="direct").solve(rhs)
         assert np.allclose(solver.solve(rhs), reference, rtol=0, atol=1e-8)
 
-    def test_schwarz_cg_backend_accepts_operator(self, small_system):
-        galerkin, operator = self._stepping_operator(small_system, order=1)
-        rhs = galerkin.rhs(0.0)
-        solver = make_solver(operator, method="schwarz-cg", num_parts=2, rtol=1e-12)
-        reference = make_solver(operator.to_csr(), method="direct").solve(rhs)
-        assert np.allclose(solver.solve(rhs), reference, rtol=0, atol=1e-8)
-
 
 class TestMatrixFreeEngine:
     """Engine-level accuracy contract: matrix-free vs explicit direct."""
@@ -406,10 +399,10 @@ class TestSweepSolverField:
 
         case = SweepCase(engine="opera", nodes=100, order=2, solver="mean-block-cg")
         assert case.name == "opera-n100-o2-mean-block-cg-paper"
-        assert case.key() == ("opera", 100, 2, None, "paper", None, "mean-block-cg")
+        assert case.key() == ("opera", 100, 2, None, "paper", "mean-block-cg")
         assert case.run_options()["solver"] == "mean-block-cg"
         plain = SweepCase(engine="opera", nodes=100, order=2)
-        assert plain.key() == ("opera", 100, 2, None, "paper", None)
+        assert plain.key() == ("opera", 100, 2, None, "paper")
 
     def test_seed_identity_matches_grid_convention(self):
         from repro.sweep import SweepCase, SweepPlan, case_seed_for

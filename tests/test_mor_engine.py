@@ -1,18 +1,14 @@
 """Tests of the macromodel-accelerated ``mor`` engine and its plumbing.
 
-Covers: accuracy against the exact ``hierarchical`` engine, the reduced
+Covers: accuracy against the exact ``opera`` engine, the reduced
 block-operator algebra and its dense block solver, scheme-registry
 compatibility of the adapter, session macromodel caching across runs and
 corners (with the ``covers`` reuse guard), the sweep ``mor_order``
 append-only identity conventions, the sparsity-pattern cache exposure in
-``factorization_counters``, and the no-orphaned-workers guarantee of a
-raising partitioned march.
+``factorization_counters``.
 """
 
 from __future__ import annotations
-
-import multiprocessing
-import time
 
 import numpy as np
 import pytest
@@ -45,16 +41,16 @@ def mor_view(mor_session):
 
 
 @pytest.fixture(scope="module")
-def hierarchical_view(mor_session):
-    return mor_session.run("hierarchical", order=2)
+def opera_view(mor_session):
+    return mor_session.run("opera", order=2)
 
 
 class TestMorEngineAccuracy:
-    def test_mean_matches_hierarchical(self, mor_view, hierarchical_view):
-        assert _relative_gap(mor_view.mean(), hierarchical_view.mean()) < ACCURACY
+    def test_mean_matches_opera(self, mor_view, opera_view):
+        assert _relative_gap(mor_view.mean(), opera_view.mean()) < ACCURACY
 
-    def test_std_matches_hierarchical(self, mor_view, hierarchical_view):
-        assert _relative_gap(mor_view.std(), hierarchical_view.std()) < ACCURACY
+    def test_std_matches_opera(self, mor_view, opera_view):
+        assert _relative_gap(mor_view.std(), opera_view.std()) < ACCURACY
 
     def test_reduced_system_is_smaller(self, mor_view):
         stats = mor_view.mor_stats
@@ -68,9 +64,9 @@ class TestMorEngineAccuracy:
         assert np.allclose(full.mean(), mor_view.mean(), atol=1e-12)
         assert np.allclose(full.std(), mor_view.std(), atol=1e-12)
 
-    def test_higher_reduction_order_stays_within_gate(self, mor_session, hierarchical_view):
+    def test_higher_reduction_order_stays_within_gate(self, mor_session, opera_view):
         fine = mor_session.run("mor", order=2, mor_order=3)
-        assert _relative_gap(fine.std(), hierarchical_view.std()) < ACCURACY
+        assert _relative_gap(fine.std(), opera_view.std()) < ACCURACY
         assert fine.mor_stats["reduction_order"] == 3
 
     def test_rejects_dc_mode(self, mor_session):
@@ -97,7 +93,7 @@ class TestMorSchemeCompatibility:
     @pytest.mark.parametrize("scheme", ["backward-euler", "trapezoidal"])
     def test_registered_schemes_march(self, mor_session, scheme):
         mor = mor_session.run("mor", order=2, scheme=scheme)
-        reference = mor_session.run("hierarchical", order=2, scheme=scheme)
+        reference = mor_session.run("opera", order=2, scheme=scheme)
         assert _relative_gap(mor.mean(), reference.mean()) < ACCURACY
 
 
@@ -123,7 +119,7 @@ class TestMacromodelCache:
         assert second.mor_stats["macromodels_built"] == 0
         assert second.mor_stats["macromodels_reused"] == first.mor_stats["macromodels_built"]
         # The reused bases still meet the accuracy gate on the new corner.
-        reference = session.run("hierarchical", order=2)
+        reference = session.run("opera", order=2)
         assert _relative_gap(second.std(), reference.std()) < ACCURACY
 
     def test_different_reduction_order_is_a_different_model(self):
@@ -167,7 +163,7 @@ class TestReducedBlockSystem:
         from repro.chaos.triples import triple_product_tensors
         from repro.mor.macromodel import block_coupling, build_block_macromodel
         from repro.mor.reduced import build_reduced_operators, reduce_rhs_series
-        from repro.partition.engine import system_partition
+        from repro.partition import system_partition
 
         session = Analysis.from_spec(200, transient=TRANSIENT)
         system = session.system
@@ -387,70 +383,3 @@ class TestPatternCacheExposure:
         finally:
             set_pattern_cache_limit(previous)
         assert factorization_counters()["pattern_cache_limit"] == previous
-
-
-def _pooled_schur_adapter(session):
-    from repro.partition.engine import system_partition
-    from repro.partition.partitioner import augment_partition
-    from repro.partition.workers import split_groups
-    from repro.stepping import SchurSystemAdapter
-
-    galerkin = session.galerkin(2)
-    partition = system_partition(session.system, num_atoms=4)
-    augmented = augment_partition(partition, galerkin.basis.size)
-    atom_ids = [k for k, interior in enumerate(partition.interiors) if interior.size]
-    return SchurSystemAdapter(
-        galerkin,
-        augmented,
-        groups=split_groups(atom_ids, len(atom_ids)),
-        workers=2,
-    )
-
-
-def _assert_workers_drained(deadline_s: float = 10.0) -> None:
-    deadline = time.monotonic() + deadline_s
-    while multiprocessing.active_children() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert not multiprocessing.active_children()
-
-
-class TestAdapterPoolCleanup:
-    def test_raising_march_leaves_no_orphaned_workers(self):
-        from repro.stepping import StepLoop
-
-        session = Analysis.from_spec(350, transient=TRANSIENT)
-        adapter = _pooled_schur_adapter(session)
-        times = TRANSIENT.times()
-
-        class Boom(RuntimeError):
-            pass
-
-        def exploding(step, t, state):
-            raise Boom("synthetic failure mid-march")
-
-        with pytest.raises(Boom):
-            with adapter:
-                StepLoop(adapter, TRANSIENT.scheme, times, TRANSIENT.dt).run(
-                    callback=exploding, store=False
-                )
-        assert adapter._pool is None  # the context exit shut the pool down
-        _assert_workers_drained()
-
-    def test_failed_prepare_shuts_pool_down(self, monkeypatch):
-        from repro.partition import schur as schur_module
-        from repro.stepping import resolve_scheme
-
-        session = Analysis.from_spec(350, transient=TRANSIENT)
-        adapter = _pooled_schur_adapter(session)
-
-        class Boom(RuntimeError):
-            pass
-
-        def exploding_init(self, *args, **kwargs):
-            raise Boom("synthetic factorization failure")
-
-        monkeypatch.setattr(schur_module.SchurComplement, "__init__", exploding_init)
-        with pytest.raises(Boom):
-            adapter.prepare(resolve_scheme(TRANSIENT.method), TRANSIENT.times(), TRANSIENT.dt)
-        assert adapter._pool is None
-        _assert_workers_drained()

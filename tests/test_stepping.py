@@ -262,14 +262,12 @@ class TestPreRefactorEquivalence:
 
     The archive was generated by the *old* per-engine loops (see
     ``tests/data/make_stepping_reference.py``); <= 1e-12 on mean and std is
-    the refactor's acceptance contract for all four engines and both
-    historical methods.
+    the refactor's acceptance contract for every engine and both historical
+    methods.
     """
 
     @pytest.mark.parametrize("method", ["trapezoidal", "backward-euler"])
-    @pytest.mark.parametrize(
-        "engine", ["opera", "hierarchical", "montecarlo", "decoupled"]
-    )
+    @pytest.mark.parametrize("engine", ["opera", "montecarlo", "decoupled"])
     def test_engine_matches_frozen_reference(
         self, reference_archive, reference_sessions, engine, method
     ):
@@ -292,14 +290,6 @@ class TestPreRefactorEquivalence:
 # Cross-engine equivalence per scheme
 # ---------------------------------------------------------------------------
 class TestCrossEngineEquivalence:
-    @pytest.mark.parametrize("scheme", ["backward-euler", "trapezoidal", "theta:0.7"])
-    def test_opera_vs_hierarchical(self, reference_sessions, scheme):
-        paper, _ = reference_sessions
-        opera = paper.run("opera", order=REF_ORDER, scheme=scheme)
-        hierarchical = paper.run("hierarchical", order=REF_ORDER, scheme=scheme)
-        np.testing.assert_allclose(hierarchical.mean(), opera.mean(), rtol=0.0, atol=1e-10)
-        np.testing.assert_allclose(hierarchical.std(), opera.std(), rtol=0.0, atol=1e-10)
-
     @pytest.mark.parametrize("scheme", ["backward-euler", "trapezoidal", "theta:0.7"])
     def test_decoupled_vs_forced_coupled(self, reference_sessions, scheme):
         _, rhs_only = reference_sessions
@@ -333,30 +323,6 @@ class TestWarmStart:
         assert not supports_warm_start(DirectSolver(matrix))
         assert supports_warm_start(ConjugateGradientSolver(matrix))
 
-    def test_hierarchical_iterative_step_solver(self, reference_sessions):
-        """The partitioned engine can step through a warm-started iterative
-        backend (schwarz-cg) and still match the exact Schur reduction."""
-        paper, _ = reference_sessions
-        schur = paper.run("hierarchical", order=REF_ORDER)
-        iterative = paper.run("hierarchical", order=REF_ORDER, solver="schwarz-cg")
-        np.testing.assert_allclose(iterative.mean(), schur.mean(), rtol=0.0, atol=1e-7)
-        np.testing.assert_allclose(iterative.std(), schur.std(), rtol=0.0, atol=1e-7)
-
-    def test_hierarchical_dc_rejects_solver_option(self, reference_sessions):
-        paper, _ = reference_sessions
-        with pytest.raises(Exception, match="transient mode"):
-            paper.run("hierarchical", mode="dc", solver="schwarz-cg")
-
-    def test_hierarchical_accepts_partition_unaware_backends(self, reference_sessions):
-        """Backends without ``accepts_partition`` (e.g. ``mean-block-cg``)
-        step the matrix-free operator directly instead of crashing on an
-        unexpected ``partition`` keyword."""
-        paper, _ = reference_sessions
-        schur = paper.run("hierarchical", order=REF_ORDER)
-        fast = paper.run("hierarchical", order=REF_ORDER, solver="mean-block-cg")
-        np.testing.assert_allclose(fast.mean(), schur.mean(), rtol=0.0, atol=1e-8)
-        np.testing.assert_allclose(fast.std(), schur.std(), rtol=0.0, atol=1e-8)
-
     def test_step_loop_rerun_is_stable(self):
         """Re-running a StepLoop rebuilds its prepared state cleanly."""
         conductance = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
@@ -368,7 +334,6 @@ class TestWarmStart:
         first = loop.run()
         second = loop.run()
         np.testing.assert_array_equal(second.states, first.states)
-        adapter.close()  # idempotent no-op for pool-less adapters
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,11 @@ from repro.sweep import (
 )
 
 FAST_TRANSIENT = TransientConfig(t_stop=1.2e-9, dt=0.2e-9)
+
+#: A record and a sharded store written while the ``hierarchical`` engine
+#: existed: every case carries ``"partitions"``, and one case is a
+#: ``hierarchical`` run with ``partitions=2``.
+LEGACY = Path(__file__).parent / "data" / "legacy_sweep"
 
 
 @pytest.fixture(scope="module")
@@ -511,6 +518,59 @@ class TestResume:
         record = record_from_store(small_outcome.store)
         assert len(record.cases) == len(small_outcome.plan.cases)
         assert {c["name"] for c in record.cases} == {c.name for c in small_outcome.plan.cases}
+
+
+class TestLegacyArtifacts:
+    """Artifacts from before the ``hierarchical`` engine's removal still work."""
+
+    NAMES = ("opera-n100-o1-paper", "montecarlo-n100-s8-paper")
+
+    @staticmethod
+    def _plan():
+        """The legacy artifacts' plan without its hierarchical case."""
+        return SweepPlan.grid(
+            [100],
+            engines=("opera", "montecarlo"),
+            orders=(1,),
+            samples=8,
+            mc_chunk_size=4,
+            transient=TransientConfig(t_stop=4 * 0.2e-9, dt=0.2e-9),
+            base_seed=0,
+        )
+
+    def test_store_keys_unchanged(self):
+        opera, montecarlo = self._plan().cases
+        assert opera.store_key() == "opera|100|1|None|paper|grid=9740|seed=1810238154"
+        assert montecarlo.store_key() == (
+            "montecarlo|100|None|8|paper|grid=9740|antithetic=1|chunk=4|seed=1032100742"
+        )
+
+    def test_record_loads_and_compares(self):
+        record = BenchRecord.load(LEGACY / "record.json")
+        assert len(record.case_map()) == 3
+        report = compare_records(record, record)
+        assert report.ok
+        assert {delta.name for delta in report.deltas} == {
+            *self.NAMES,
+            "hierarchical-n100-o1-p2-paper",
+        }
+
+    def test_resume_skips_every_kept_case(self, tmp_path):
+        shutil.copytree(LEGACY / "store", tmp_path / "store")
+        store = ShardedNpzBackend(tmp_path / "store")
+        outcome = SweepRunner(keep_statistics=True).resume(self._plan(), store)
+        assert (outcome.executed, outcome.reused) == (0, 2)
+        assert tuple(result.name for result in outcome) == self.NAMES
+        # The hierarchical entry still loads, with its partitions ignored.
+        engines = sorted(result.engine for result in store.iter_results())
+        assert engines == ["hierarchical", "montecarlo", "opera"]
+
+        report = compare_records(
+            BenchRecord.load(LEGACY / "record.json"), record_from_outcome(outcome)
+        )
+        assert tuple(delta.name for delta in report.deltas) == self.NAMES
+        assert not report.regressions
+        assert report.missing == ("hierarchical-n100-o1-p2-paper",)
 
 
 def _record_with_wall_times(small_outcome, scale: float) -> BenchRecord:

@@ -1,10 +1,9 @@
-"""Tests for batched sweep scheduling: topology groups, stacked marches,
-the symbolic/numeric factorisation split, and shared-memory result transfer."""
+"""Tests for batched sweep scheduling: topology groups, stacked marches and
+the symbolic/numeric factorisation split."""
 
 from __future__ import annotations
 
 import dataclasses
-import glob
 
 import numpy as np
 import pytest
@@ -31,7 +30,6 @@ from repro.sweep import (
     topology_key,
 )
 from repro.sweep.runner import _SessionCache
-from repro.sweep.shm import ShmCaseResult, discard_result, pack_result, unpack_result
 
 FAST_TRANSIENT = TransientConfig(t_stop=1.2e-9, dt=0.2e-9)
 
@@ -46,10 +44,6 @@ CORNER_PLAN = SweepPlan.grid(
     transient=FAST_TRANSIENT,
     base_seed=11,
 )
-
-
-def _shm_segments() -> set:
-    return set(glob.glob("/dev/shm/psm_*"))
 
 
 def _assert_bit_identical(expected, actual):
@@ -292,45 +286,3 @@ class TestSpanSolver:
         inner = DirectSolver(sp.eye(5, format="csr"))
         with pytest.raises(SolverError, match="spans"):
             BlockDiagonalSolver(inner, tracks=4, num_nodes=5, spans=(2, 3))
-
-
-class TestSharedMemoryTransfer:
-    def _result(self):
-        outcome = SweepRunner(workers=1, keep_statistics=True).run(
-            dataclasses.replace(CORNER_PLAN, cases=CORNER_PLAN.cases[:1])
-        )
-        return next(iter(outcome))
-
-    def test_pack_unpack_round_trip_leaves_no_segment(self):
-        result = self._result()
-        before = _shm_segments()
-        packed = pack_result(result)
-        assert isinstance(packed, ShmCaseResult)
-        assert packed.result.mean is None  # arrays travel out-of-band
-        restored = unpack_result(packed)
-        assert restored.mean.tobytes() == result.mean.tobytes()
-        assert restored.std.tobytes() == result.std.tobytes()
-        assert _shm_segments() == before
-
-    def test_discard_unlinks_unconsumed_segment(self):
-        before = _shm_segments()
-        packed = pack_result(self._result())
-        assert isinstance(packed, ShmCaseResult)
-        discard_result(packed)
-        assert _shm_segments() == before
-        # double discard / unpack after teardown degrade gracefully
-        discard_result(packed)
-        assert unpack_result(packed).mean is None
-
-    def test_statistics_free_results_skip_shm(self):
-        outcome = SweepRunner(workers=1).run(
-            dataclasses.replace(CORNER_PLAN, cases=CORNER_PLAN.cases[:1])
-        )
-        result = next(iter(outcome))
-        assert pack_result(result) is result
-
-    def test_pooled_sweep_leaves_no_segments(self):
-        before = _shm_segments()
-        outcome = SweepRunner(workers=2, keep_statistics=True).run(CORNER_PLAN)
-        assert outcome.executed == len(CORNER_PLAN.cases)
-        assert _shm_segments() == before
