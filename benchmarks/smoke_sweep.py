@@ -92,13 +92,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "(default %(default)s)",
     )
     parser.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="run the sweep through the topology-batched scheduler "
-        "(results are bit-identical to the unbatched path)",
-    )
-    parser.add_argument(
         "--min-throughput",
         type=float,
         default=None,
@@ -185,9 +178,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # remaining cases from the flushed shards.
         truncated = dataclasses.replace(plan, cases=plan.cases[: args.interrupt])
         store = ShardedNpzBackend(args.store, shard_size=STORE_SHARD_SIZE)
-        outcome = SweepRunner(workers=bench_workers(), batch=args.batch).run(
-            truncated, store=store
-        )
+        outcome = SweepRunner(workers=bench_workers()).run(truncated, store=store)
         print(
             f"smoke sweep interrupted after {outcome.executed} of "
             f"{len(plan.cases)} case(s); store at {args.store}"
@@ -197,7 +188,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     store = None
     if args.store is not None:
         store = ShardedNpzBackend(args.store, shard_size=STORE_SHARD_SIZE)
-    outcome = SweepRunner(workers=bench_workers(), batch=args.batch).run(plan, store=store)
+    outcome = SweepRunner(workers=bench_workers()).run(plan, store=store)
     if store is not None:
         # Exercise the store's export view: the artifact the gate consumes
         # is rebuilt purely from the persisted shards.

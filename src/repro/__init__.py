@@ -22,9 +22,8 @@ Variations" (Ghanta, Vrudhula, Panda, Wang -- DATE 2005).  It contains:
   Figure-1/2 distribution comparisons;
 * :mod:`repro.linalg` -- matrix-free Kronecker-sum operators for the
   augmented Galerkin system (:class:`~repro.linalg.KronSumOperator`) and
-  the block-preconditioned CG backends: ``mean-block-cg`` (one
-  nominal-block LU preconditioning all chaos blocks at once) and
-  ``degree-block-cg`` (exact LUs over chaos-degree bands);
+  the block-preconditioned CG backend ``mean-block-cg`` (one
+  nominal-block LU preconditioning all chaos blocks at once);
 * :mod:`repro.mor` -- PRIMA-style model order reduction (extension);
 * :mod:`repro.api` -- the unified :class:`~repro.api.Analysis` session
   facade, the engine/solver registries and the shared result protocol;
@@ -52,9 +51,9 @@ so repeated runs reuse work::
     print(session.compare(samples=200))            # Table-1 accuracy/speed-up row
 
 Every engine (``opera``, ``decoupled``, ``montecarlo``, ``deterministic``,
-``randomwalk``, ``pce-regression``, ``mor``, plus anything added with
-:func:`~repro.api.register_engine`)
-returns an :class:`~repro.api.AnalysisResult`: uniform ``mean()``, ``std()``,
+``pce-regression``, ``mor``, plus anything added with
+:func:`~repro.api.register_engine`) returns an
+:class:`~repro.api.AnalysisResult`: uniform ``mean()``, ``std()``,
 ``worst_drop()``, ``wall_time`` and ``to_dict()``, with the engine-native
 result reachable as ``result.raw``.  Linear-solver backends are pluggable the
 same way through :func:`~repro.api.register_solver`.

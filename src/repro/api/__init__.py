@@ -52,7 +52,6 @@ from .result import (
     DeterministicResultView,
     EngineResult,
     MonteCarloResultView,
-    RandomWalkResultView,
     StochasticResultView,
 )
 from .session import DEFAULT_TRANSIENT, Analysis
@@ -65,7 +64,6 @@ __all__ = [
     "StochasticResultView",
     "MonteCarloResultView",
     "DeterministicResultView",
-    "RandomWalkResultView",
     "ComparisonResult",
     "compare",
     "register_engine",

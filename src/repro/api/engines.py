@@ -1,4 +1,4 @@
-"""The analysis-engine registry and the five built-in engines.
+"""The analysis-engine registry and the four built-in engines.
 
 An *engine* is a callable ``engine(session, mode=None, **options)`` that runs
 one kind of analysis on an :class:`~repro.api.session.Analysis` session and
@@ -22,8 +22,6 @@ Built-ins:
     The sampling reference (transient or DC).
 ``deterministic``
     A single nominal run with every germ at zero (transient or DC).
-``randomwalk``
-    Localised single-node DC estimates via random walks (DC only).
 """
 
 from __future__ import annotations
@@ -31,8 +29,6 @@ from __future__ import annotations
 import dataclasses
 import time
 from typing import Optional
-
-import numpy as np
 
 from ..errors import AnalysisError
 from ..montecarlo.engine import (
@@ -45,13 +41,11 @@ from ..opera.engine import run_opera_dc, run_opera_transient
 from ..opera.special_case import run_decoupled_transient
 from ..registry import Registry
 from ..sim.dc import dc_operating_point
-from ..sim.randomwalk import RandomWalkSolver
 from ..sim.transient import TransientConfig
 from ..telemetry import current_telemetry
 from .result import (
     DeterministicResultView,
     MonteCarloResultView,
-    RandomWalkResultView,
     StochasticResultView,
 )
 
@@ -330,45 +324,6 @@ def _run_deterministic_engine(session, mode: Optional[str] = None, **options):
     view.transient = transient
     view.solver_stats = _solver_stats_delta(stats_before, session.solver_stats())
     return view
-
-
-@register_engine("randomwalk")
-def _run_randomwalk_engine(session, mode: Optional[str] = None, **options):
-    """Localised DC voltage estimates via random walks (Qian et al., DAC'03).
-
-    Options: ``nodes`` (index, sequence of indices, or ``None`` for the node
-    with the largest drain current), ``num_walks``, ``seed``, ``t`` and
-    ``max_walk_length``.
-    """
-    mode = mode or "dc"
-    _check_mode("randomwalk", mode, ("dc",))
-    t = float(options.pop("t", 0.0))
-    nodes = options.pop("nodes", None)
-    num_walks = int(options.pop("num_walks", 400))
-    seed = options.pop("seed", 0)
-    max_walk_length = int(options.pop("max_walk_length", 100000))
-    _reject_unknown(options, "randomwalk", mode)
-
-    stamped = session.stamped
-    if nodes is None:
-        nodes = (int(np.argmax(stamped.drain_current_vector(t))),)
-    elif isinstance(nodes, (int, np.integer)):
-        nodes = (int(nodes),)
-    else:
-        nodes = tuple(int(node) for node in nodes)
-
-    started = time.perf_counter()
-    walker = RandomWalkSolver(stamped, t=t, max_walk_length=max_walk_length, seed=seed)
-    estimates = tuple(walker.estimate(node, num_walks=num_walks) for node in nodes)
-    elapsed = time.perf_counter() - started
-    return RandomWalkResultView(
-        "randomwalk",
-        "dc",
-        estimates,
-        stamped.vdd,
-        wall_time=elapsed,
-        nodes=nodes,
-    )
 
 
 # The linalg subsystem registers the "mean-block-cg" solver backend, the

@@ -4,7 +4,7 @@ Every engine registered with :func:`repro.api.register_engine` returns an
 object satisfying :class:`AnalysisResult`: a uniform, engine-agnostic view of
 "what happened" -- mean and sigma of the node voltages, the worst voltage
 drop, the wall time -- regardless of whether the numbers came from a chaos
-expansion, a Monte Carlo sweep, a deterministic run or a random walk.  The
+expansion, a Monte Carlo sweep or a deterministic run.  The
 engine-specific result object (with its full, richer API) stays reachable
 through ``.raw``, so nothing is lost by going through the facade.
 """
@@ -24,7 +24,6 @@ __all__ = [
     "StochasticResultView",
     "MonteCarloResultView",
     "DeterministicResultView",
-    "RandomWalkResultView",
 ]
 
 
@@ -187,28 +186,3 @@ class DeterministicResultView(EngineResult):
 
     def std(self) -> np.ndarray:
         return np.zeros_like(self.mean())
-
-
-class RandomWalkResultView(EngineResult):
-    """Localised DC estimates (the ``randomwalk`` engine).
-
-    ``raw`` is a tuple of :class:`~repro.sim.randomwalk.RandomWalkEstimate`
-    objects, one per queried node; ``std()`` reports the Monte Carlo standard
-    error of each estimate.
-    """
-
-    def __init__(self, engine, mode, raw, vdd, wall_time=None, nodes=()):
-        super().__init__(engine, mode, tuple(raw), vdd, wall_time)
-        self.nodes = tuple(int(node) for node in nodes)
-
-    def mean(self) -> np.ndarray:
-        return np.array([estimate.voltage for estimate in self.raw])
-
-    def std(self) -> np.ndarray:
-        return np.array([estimate.standard_error for estimate in self.raw])
-
-    def to_dict(self) -> Dict[str, Any]:
-        summary = super().to_dict()
-        summary["nodes"] = list(self.nodes)
-        summary["num_walks"] = [int(estimate.num_walks) for estimate in self.raw]
-        return summary

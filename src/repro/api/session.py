@@ -99,8 +99,8 @@ class Analysis:
         }
         # Sparsity-pattern index over the solver cache: maps
         # (pattern fingerprint, method, options) to the cache key of the most
-        # recent solver built for that pattern, so a new corner's matrix can
-        # be numerically refactored (Solver.refactor) instead of re-analysed.
+        # recent solver built for that pattern, so a new corner's matrix is
+        # built through Solver.refactor, reusing the cached CSC layout.
         self._pattern_index: Dict[Any, Any] = {}
 
     # ------------------------------------------------------------ constructors
@@ -238,9 +238,10 @@ class Analysis:
         """Build a solver, refactoring a cached same-pattern sibling if any.
 
         When the cache already holds a solver for the same sparsity pattern
-        (same topology, different corner values) and that solver supports
-        numeric refactorisation, the symbolic analysis is reused through
-        ``sibling.refactor(matrix)`` -- bit-identical to a cold build.
+        (same topology, different corner values) with a ``refactor``
+        method, the new solver comes from ``sibling.refactor(matrix)``,
+        which reuses only the cached CSR -> CSC layout -- bit-identical to
+        a cold build.
         """
         built = None
         if sp.issparse(matrix):
@@ -312,10 +313,10 @@ class Analysis:
     def solver_stats(self) -> Dict[str, Dict[str, Any]]:
         """Aggregated diagnostics of every cached solver exposing ``stats``.
 
-        Iterative backends (``cg``, ``mean-block-cg``, ``degree-block-cg``)
-        report solve and iteration counters plus their most recent relative
-        residual.  Counters are summed per backend name over the session's
-        cached solver instances; "latest" fields take the maximum.
+        Iterative backends (``cg``, ``mean-block-cg``) report solve and
+        iteration counters plus their most recent relative residual.
+        Counters are summed per backend name over the session's cached
+        solver instances; "latest" fields take the maximum.
         Backends without ``stats`` (e.g. ``direct``) contribute nothing.
         """
         aggregated: Dict[str, Dict[str, Any]] = {}
@@ -362,8 +363,8 @@ class Analysis:
         ----------
         engine:
             Name of a registered engine (``"opera"``, ``"decoupled"``,
-            ``"montecarlo"``, ``"deterministic"``, ``"randomwalk"``, or any
-            name added with :func:`repro.api.register_engine`).
+            ``"montecarlo"``, ``"deterministic"``, ``"pce-regression"``,
+            ``"mor"``, or any name added with :func:`repro.api.register_engine`).
         mode:
             ``"transient"`` or ``"dc"``; every engine picks its natural
             default when omitted.

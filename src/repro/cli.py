@@ -225,14 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--workers", type=int, default=1, help="worker processes for the sweep")
     sweep.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="group cases by grid topology and stack same-shape direct-solver "
-        "cases into shared multi-RHS marches (results are bit-identical to "
-        "the unbatched path)",
-    )
-    sweep.add_argument(
         "--mc-workers",
         type=int,
         default=None,
@@ -460,7 +452,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
         transient=transient,
         base_seed=args.base_seed,
     )
-    runner = SweepRunner(workers=args.workers, telemetry=args.telemetry, batch=args.batch)
+    runner = SweepRunner(workers=args.workers, telemetry=args.telemetry)
     outcome = runner.resume(plan, store) if args.resume else runner.run(plan, store=store)
     record = record_from_outcome(outcome)
 

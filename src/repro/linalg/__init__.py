@@ -12,28 +12,22 @@ sparse grid matrices ``A_m``).  This package keeps that structure *lazy*:
   conjugate gradients on the operator, preconditioned by one LU of the
   ``n x n`` nominal (mean) block applied to all ``P`` chaos blocks in a
   single 2-D solve (the ``I_P (x) M0^{-1}`` structure);
-* :class:`DegreeBlockCGSolver` -- the ``degree-block-cg`` variant: the
-  preconditioner is block-diagonal over contiguous chaos-degree bands,
-  each band's exact sub-matrix factorised once (stronger than the mean
-  block for wide germ vectors, at larger factorisation cost);
 * :func:`kron_sum_csr` -- linear-time explicit assembly (single COO
   concatenation) shared by the operator's ``to_csr`` and the eager
   assembly path of :mod:`repro.chaos.galerkin`.
 
-Importing this package registers the ``mean-block-cg`` and
-``degree-block-cg`` backends with the solver registry; :mod:`repro.api`
-imports it, so the backends are available everywhere a solver name is
-accepted.
+Importing this package registers the ``mean-block-cg`` backend with the
+solver registry; :mod:`repro.api` imports it, so the backend is available
+everywhere a solver name is accepted.
 """
 
 from .operator import KronSumOperator, KronTerm, is_operator, kron_sum_csr
-from .solvers import DegreeBlockCGSolver, MeanBlockCGSolver
+from .solvers import MeanBlockCGSolver
 
 __all__ = [
     "KronSumOperator",
     "KronTerm",
     "MeanBlockCGSolver",
-    "DegreeBlockCGSolver",
     "kron_sum_csr",
     "is_operator",
 ]

@@ -132,10 +132,8 @@ def run_opera_dc(
             augmented_conductance = assemble_augmented_operator(basis, conductance_coefficients)
         else:
             augmented_conductance = assemble_augmented_matrix(basis, conductance_coefficients)
-            if solver in ("mean-block-cg", "degree-block-cg"):
+            if solver == "mean-block-cg":
                 solver_options.setdefault("num_nodes", system.num_nodes)
-    if solver == "degree-block-cg":
-        solver_options.setdefault("degrees", tuple(int(d) for d in basis.degrees))
     rhs = assemble_augmented_rhs(
         basis, system.excitation.pc_coefficients(basis, t), system.num_nodes
     )

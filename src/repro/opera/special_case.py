@@ -22,7 +22,7 @@ one ``n x n`` factorisation and any registered scheme applies.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,11 +30,10 @@ from ..chaos.basis import PolynomialChaosBasis
 from ..chaos.response import StochasticTransientResult
 from ..errors import AnalysisError
 from ..stepping import DecoupledSystemAdapter, StackedRhsSeries, StepLoop
-from ..telemetry import current_telemetry
 from ..variation.model import StochasticSystem
 from .config import OperaConfig
 
-__all__ = ["run_decoupled_transient", "run_decoupled_transient_stacked"]
+__all__ = ["run_decoupled_transient"]
 
 
 def run_decoupled_transient(
@@ -121,125 +120,3 @@ def run_decoupled_transient(
         wall_time=elapsed,
     )
 
-
-def run_decoupled_transient_stacked(
-    systems: Sequence[StochasticSystem],
-    config: OperaConfig,
-    bases: Sequence[PolynomialChaosBasis],
-    solver_factory: Optional[Callable] = None,
-) -> List[StochasticTransientResult]:
-    """One multi-RHS march for several RHS-only systems on one topology.
-
-    The batched counterpart of :func:`run_decoupled_transient`: every
-    system (one per sweep case/corner) shares the deterministic nominal
-    ``G`` and ``C``, so their active chaos tracks are concatenated into a
-    single :class:`~repro.stepping.DecoupledSystemAdapter` state vector and
-    the whole stack advances through one :class:`~repro.stepping.StepLoop`
-    run -- one factorisation, one multi-RHS solve per step, for *all*
-    cases.  Because the direct multi-RHS solve and the stacked matvecs are
-    column-wise operations, each case's coefficient trajectory is bitwise
-    identical to its own :func:`run_decoupled_transient` run.
-
-    Results are returned in input order; per-case wall times apportion the
-    shared march by track count.  Raises :class:`AnalysisError` when a
-    system has matrix variation or the nominal matrices do not match.
-    """
-    if not systems:
-        return []
-    if len(bases) != len(systems):
-        raise AnalysisError("need one chaos basis per stacked system")
-    reference = systems[0]
-    for system in systems:
-        if system.has_matrix_variation:
-            raise AnalysisError(
-                "the decoupled special case requires deterministic G and C; "
-                "this system has matrix variation"
-            )
-        if system.num_nodes != reference.num_nodes:
-            raise AnalysisError("stacked systems must share one grid topology")
-
-    started = time.perf_counter()
-    transient = config.effective_transient
-    times = transient.times()
-    n = reference.num_nodes
-    conductance = reference.g_nominal.tocsr()
-    capacitance = reference.c_nominal.tocsr()
-
-    actives: List[np.ndarray] = []
-    tables: List[np.ndarray] = []
-    spans: List[Optional[tuple]] = []
-    offset = 0
-    for system, basis in zip(systems, bases):
-        initial = system.excitation.pc_coefficients(basis, float(times[0]))
-        active = sorted(initial.keys())
-        actives.append(np.asarray(active, dtype=int))
-        if active:
-            series = StackedRhsSeries.from_coefficients(
-                lambda t, s=system, b=basis: s.excitation.pc_coefficients(b, t),
-                times,
-                active,
-                n,
-            )
-            tables.append(series._waveforms)
-            spans.append((offset, offset + len(active)))
-            offset += len(active)
-        else:
-            spans.append(None)
-
-    coefficients = [np.zeros((times.size, basis.size, n)) for basis in bases]
-    total_tracks = offset
-    if total_tracks:
-        combined = StackedRhsSeries(times, np.concatenate(tables, axis=1))
-        adapter = DecoupledSystemAdapter(
-            conductance,
-            capacitance,
-            tracks=total_tracks,
-            rhs_series=combined,
-            solver=config.effective_solver,
-            solver_factory=solver_factory,
-            # One solve_many call per case, each with exactly the shape of
-            # that case's own unbatched solve: SuperLU's multi-RHS back-
-            # substitution is not bitwise invariant to the column count.
-            track_spans=[span[1] - span[0] for span in spans if span is not None],
-        )
-
-        def scatter(step: int, t: float, stacked: np.ndarray) -> None:
-            blocks = stacked.reshape(total_tracks, n)
-            for index, span in enumerate(spans):
-                if span is not None:
-                    coefficients[index][step, actives[index]] = blocks[span[0] : span[1]]
-
-        StepLoop(adapter, transient.scheme, times, transient.dt).run(callback=scatter, store=False)
-        current_telemetry().count("batched_cases", len(systems))
-
-    elapsed = time.perf_counter() - started
-    results: List[StochasticTransientResult] = []
-    for index, (system, basis) in enumerate(zip(systems, bases)):
-        span = spans[index]
-        share = (span[1] - span[0]) / total_tracks if span is not None and total_tracks else 0.0
-        wall = elapsed * share
-        if config.store_coefficients:
-            results.append(
-                StochasticTransientResult(
-                    times=times,
-                    basis=basis,
-                    vdd=system.vdd,
-                    coefficients=coefficients[index],
-                    node_names=system.node_names,
-                    wall_time=wall,
-                )
-            )
-        else:
-            block = coefficients[index]
-            results.append(
-                StochasticTransientResult(
-                    times=times,
-                    basis=basis,
-                    vdd=system.vdd,
-                    mean=block[:, 0, :],
-                    variance=np.sum(block[:, 1:, :] ** 2, axis=1),
-                    node_names=system.node_names,
-                    wall_time=wall,
-                )
-            )
-    return results

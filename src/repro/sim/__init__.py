@@ -12,13 +12,10 @@ from .linear import (
     unregister_solver,
 )
 from .mna import MNASystem
-from .randomwalk import RandomWalkEstimate, RandomWalkSolver
 from .results import DCResult, TransientResult
 from .transient import TransientConfig, run_transient, transient_analysis
 
 __all__ = [
-    "RandomWalkEstimate",
-    "RandomWalkSolver",
     "dc_operating_point",
     "solve_dc",
     "ConjugateGradientSolver",

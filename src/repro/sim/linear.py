@@ -63,18 +63,18 @@ def _is_lazy_operator(obj) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic / numeric factorisation split
+# Sparsity-pattern cache for the CSR -> CSC conversion
 # ---------------------------------------------------------------------------
 #
 # Corner sweeps factorise many matrices that share one sparsity pattern (the
-# same grid topology stamped with different parameter values).  The symbolic
-# part of the CSR -> CSC canonicalisation -- where each nonzero lands in the
-# column-ordered layout SuperLU consumes -- depends only on the pattern, so it
-# is cached process-wide, keyed by a values-free pattern fingerprint.  The
-# numeric "refactorisation" for a new corner is then a single value gather
-# plus the usual ``splu`` call on the *identical* canonical structure, which
-# keeps the factors (and every downstream trajectory) bit-for-bit equal to
-# the uncached path.
+# same grid topology stamped with different parameter values).  Where each
+# nonzero lands in the column-ordered CSC layout SuperLU consumes depends
+# only on the pattern, so that layout is cached process-wide, keyed by a
+# values-free pattern fingerprint, and a same-pattern conversion is a single
+# value gather.  This is all the cache saves: every ``splu`` call still runs
+# its own fill-reducing ordering and symbolic analysis.  The gathered matrix
+# is bitwise identical to a plain conversion, so the factors (and every
+# downstream trajectory) equal the uncached path's.
 
 _FACTOR_COUNTERS = {"symbolic_analysis": 0, "symbolic_reuse": 0, "numeric_refactor": 0}
 
@@ -82,11 +82,13 @@ _FACTOR_COUNTERS = {"symbolic_analysis": 0, "symbolic_reuse": 0, "numeric_refact
 def factorization_counters() -> dict:
     """Snapshot of the process-wide factorisation counters.
 
-    ``symbolic_analysis`` counts first-time sparsity-pattern analyses,
-    ``symbolic_reuse`` counts factorisations that reused a cached pattern,
-    and ``numeric_refactor`` counts :meth:`DirectSolver.refactor` calls
-    (value-only refactorisations).  The same names are emitted as telemetry
-    counters when tracing is enabled.  ``pattern_cache_entries`` /
+    ``symbolic_analysis`` counts CSR -> CSC layouts computed for a new
+    sparsity pattern, ``symbolic_reuse`` counts conversions served from a
+    cached layout, and ``numeric_refactor`` counts
+    :meth:`DirectSolver.refactor` calls.  The names are historical: ``splu``
+    runs its own ordering and symbolic analysis on every factorisation.
+    The same names are emitted as telemetry counters when tracing is
+    enabled.  ``pattern_cache_entries`` /
     ``pattern_cache_limit`` report the occupancy and LRU bound of the
     process-wide sparsity-pattern cache those counters describe (see
     :func:`set_pattern_cache_limit`).
@@ -132,8 +134,8 @@ def sparsity_fingerprint(matrix) -> str:
 
     Two matrices get the same fingerprint exactly when they have identical
     shape and an identical nonzero layout (same ``indptr``/``indices`` in CSR
-    form), i.e. when a factorisation of one can reuse the symbolic analysis
-    of the other.  Lazy operators with their own content ``fingerprint``
+    form), i.e. when the CSC layout of one serves the conversion of the
+    other.  Lazy operators with their own content ``fingerprint``
     delegate to it (their pattern is implied by their content identity).
     """
     own = getattr(matrix, "fingerprint", None)
@@ -148,7 +150,7 @@ def sparsity_fingerprint(matrix) -> str:
 
 
 class _SparsityPattern:
-    """Cached symbolic analysis of one CSR sparsity pattern.
+    """Cached CSR -> CSC layout of one sparsity pattern.
 
     Holds the canonical CSC structure and the CSR-data -> CSC-data gather
     permutation, computed once by converting an index-tagged structural
@@ -203,8 +205,8 @@ def canonical_csc(matrix) -> sp.csc_matrix:
     to a plain ``sp.csc_matrix(matrix)`` conversion; CSR inputs whose
     sparsity pattern was seen before skip the structural analysis and pay
     only a value gather.  This is the single funnel every LU build in the
-    library goes through (:class:`DirectSolver` and the block-preconditioner
-    factorisations of :mod:`repro.linalg.solvers`).
+    library goes through (:class:`DirectSolver` and the mean-block
+    preconditioner of :mod:`repro.linalg.solvers`).
     """
     if sp.issparse(matrix) and matrix.format == "csr":
         return _pattern_for(matrix).csc_from(matrix)
@@ -258,11 +260,12 @@ class DirectSolver(LinearSolver):
     def refactor(self, matrix: sp.spmatrix) -> "DirectSolver":
         """A new solver for a same-pattern matrix with different values.
 
-        Numeric refactorisation: the symbolic CSR -> CSC analysis is served
-        from the process-wide pattern cache, so only the value gather and
-        the LU factorisation itself are paid.  The result is bitwise
-        identical to ``DirectSolver(matrix)`` (a pattern that happens not to
-        match simply falls back to a fresh symbolic analysis).
+        The CSR -> CSC layout is served from the process-wide pattern
+        cache, so the conversion is a value gather; ``splu`` then runs its
+        full ordering, symbolic analysis and numeric factorisation as
+        usual.  The result is bitwise identical to ``DirectSolver(matrix)``
+        (a pattern that happens not to match falls back to a fresh
+        conversion).
         """
         if sp.issparse(matrix) and matrix.shape != self.shape:
             raise SolverError(
@@ -287,9 +290,9 @@ class DirectSolver(LinearSolver):
 class PreconditionedCGSolver(LinearSolver):
     """Shared scaffolding of every preconditioned-CG backend.
 
-    The three CG backends of the library (``cg`` here, ``mean-block-cg``
-    and ``degree-block-cg`` in :mod:`repro.linalg.solvers`)
-    differ only in how they build their preconditioner; the solve loop, the
+    The two CG backends of the library (``cg`` here and ``mean-block-cg``
+    in :mod:`repro.linalg.solvers`) differ only in how they build their
+    preconditioner; the solve loop, the
     diagnostics bookkeeping and the warm-started multi-RHS sweep are
     identical.  This base class holds that common machinery:
 
@@ -320,7 +323,6 @@ class PreconditionedCGSolver(LinearSolver):
         cg_target,
         residual_target=None,
         preconditioner=None,
-        **extra_stats,
     ) -> None:
         """Install the CG operands and initialise the ``stats`` dict.
 
@@ -328,9 +330,7 @@ class PreconditionedCGSolver(LinearSolver):
         sparse matrix, lazy operator or ``LinearOperator``);
         ``residual_target`` is what the true-residual check multiplies by
         (defaults to ``cg_target``; the block backends pass their native
-        operator here and a wrapped ``LinearOperator`` to CG).  Extra
-        keyword arguments become additional ``stats`` entries (e.g. the
-        ``band_sizes`` layout of ``degree-block-cg``).
+        operator here and a wrapped ``LinearOperator`` to CG).
         """
         self._cg_target = cg_target
         self._residual_target = residual_target if residual_target is not None else cg_target
@@ -343,7 +343,6 @@ class PreconditionedCGSolver(LinearSolver):
             "last_relative_residual": None,
             "warm_starts": 0,
             "cold_starts": 0,
-            **extra_stats,
         }
 
     def solve(self, rhs: np.ndarray, x0: Optional[np.ndarray] = None) -> np.ndarray:
@@ -523,7 +522,7 @@ def make_solver(matrix: sp.spmatrix, method: str = "direct", **options) -> Linea
         System matrix -- an explicit sparse matrix, or a lazy operator
         (:class:`repro.linalg.KronSumOperator`).  Operators are forwarded
         as-is to backends that declare ``accepts_operator`` on their
-        factory (``cg``, ``mean-block-cg``, ``degree-block-cg``) and
+        factory (``cg``, ``mean-block-cg``) and
         materialised with ``to_csr()`` for everything else, so every
         backend works with either input.
     method:
@@ -531,8 +530,7 @@ def make_solver(matrix: sp.spmatrix, method: str = "direct", **options) -> Linea
         (sparse LU) and ``"cg"`` (Jacobi-preconditioned CG).  Importing
         :mod:`repro.linalg` (or :mod:`repro.api`) additionally registers
         ``"mean-block-cg"`` (matrix-free CG with the ``I_P (x) M0^{-1}``
-        mean-block preconditioner) and ``"degree-block-cg"`` (CG with one
-        preconditioner block per band of chaos degrees).
+        mean-block preconditioner).
     options:
         Forwarded to the solver factory (e.g. ``rtol``, ``maxiter``).
     """

@@ -11,9 +11,9 @@ brings its own, :class:`repro.mor.adapter.MorSystemAdapter`):
 :class:`GalerkinSystemAdapter`
     The augmented (Galerkin-projected) system of the OPERA method,
     operator-aware: ``assemble="lazy"`` keeps the whole run matrix-free on
-    :class:`~repro.linalg.KronSumOperator` representations, and
-    block-structured backends (``mean-block-cg``, ``degree-block-cg``)
-    receive the block size / chaos degrees they need automatically.
+    :class:`~repro.linalg.KronSumOperator` representations, and the
+    ``mean-block-cg`` backend receives the block size it needs
+    automatically.
 :class:`DecoupledSystemAdapter`
     The Section-5.1 special case (deterministic matrices, stochastic
     excitation): the state stacks the active chaos coefficients, the step
@@ -157,10 +157,8 @@ class GalerkinSystemAdapter(MnaSystemAdapter):
     via :attr:`repro.opera.config.OperaConfig.effective_assemble`).  The
     excitation is always the Galerkin system's precomputed
     :meth:`~repro.chaos.galerkin.GalerkinSystem.rhs_series` for the loop's
-    exact time axis.  Block-structured solver backends get their structure
-    arguments threaded automatically: ``mean-block-cg`` the block size on
-    explicit input, ``degree-block-cg`` the basis's chaos degrees (plus
-    the block size on explicit input).
+    exact time axis.  On explicit input the ``mean-block-cg`` backend gets
+    the block size threaded automatically.
     """
 
     def __init__(
@@ -184,14 +182,10 @@ class GalerkinSystemAdapter(MnaSystemAdapter):
         else:
             conductance = galerkin.conductance
             capacitance = galerkin.capacitance
-            if solver in ("mean-block-cg", "degree-block-cg"):
+            if solver == "mean-block-cg":
                 # The explicit matrix carries no block structure; hand the
-                # backend the block size so it can slice out its blocks.
+                # backend the block size so it can slice out its mean block.
                 options.setdefault("num_nodes", galerkin.num_nodes)
-        if solver == "degree-block-cg":
-            # A plain tuple (not an ndarray): solver options join the
-            # session's hashable solver-cache key.
-            options.setdefault("degrees", tuple(int(d) for d in galerkin.basis.degrees))
         super().__init__(
             conductance,
             capacitance,
@@ -287,28 +281,14 @@ class BlockDiagonalSolver:
     ``solve`` reshapes the stacked right-hand side into per-track columns
     and delegates to the inner solver's ``solve_many`` -- for the direct
     backend that is a single multi-RHS back-substitution over all tracks.
-
-    ``spans`` optionally partitions the tracks into consecutive groups that
-    are solved with *separate* ``solve_many`` calls.  SuperLU's multi-RHS
-    back-substitution is not bitwise invariant to the number of columns
-    (its internal blocking depends on ``nrhs``), so a march that stacks
-    several cases' tracks into one state vector passes their per-case track
-    counts here: each group's solve call then has exactly the shape and
-    layout of that case's own unbatched solve, making the stacked results
-    bit-identical by construction.
     """
 
-    def __init__(self, inner, tracks: int, num_nodes: int, spans: Optional[Sequence[int]] = None):
+    def __init__(self, inner, tracks: int, num_nodes: int):
         self.inner = inner
         self.tracks = int(tracks)
         self.num_nodes = int(num_nodes)
         size = self.tracks * self.num_nodes
         self.shape = (size, size)
-        self.spans = None if spans is None else tuple(int(count) for count in spans)
-        if self.spans is not None and sum(self.spans) != self.tracks:
-            raise SolverError(
-                f"track spans {self.spans} do not cover {self.tracks} track(s)"
-            )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
@@ -317,16 +297,8 @@ class BlockDiagonalSolver:
                 f"right-hand side has shape {rhs.shape}, expected ({self.shape[0]},)"
             )
         blocks = rhs.reshape(self.tracks, self.num_nodes)
-        if self.spans is None:
-            solution = self.inner.solve_many(blocks.T)
-            return np.ascontiguousarray(solution.T).reshape(-1)
-        out = np.empty_like(blocks)
-        offset = 0
-        for count in self.spans:
-            solution = self.inner.solve_many(blocks[offset : offset + count].T)
-            out[offset : offset + count] = solution.T
-            offset += count
-        return out.reshape(-1)
+        solution = self.inner.solve_many(blocks.T)
+        return np.ascontiguousarray(solution.T).reshape(-1)
 
 
 class DecoupledSystemAdapter(SystemAdapter):
@@ -351,7 +323,6 @@ class DecoupledSystemAdapter(SystemAdapter):
         solver: str = "direct",
         solver_factory: Optional[Callable] = None,
         solver_options: Optional[Mapping] = None,
-        track_spans: Optional[Sequence[int]] = None,
     ):
         self._conductance = sp.csr_matrix(conductance)
         self._capacitance = sp.csr_matrix(capacitance)
@@ -364,9 +335,6 @@ class DecoupledSystemAdapter(SystemAdapter):
         self.solver = str(solver)
         self._factory = solver_factory
         self._options = dict(solver_options or {})
-        #: Per-case track counts of a stacked multi-case march; solves are
-        #: split along these groups (see :class:`BlockDiagonalSolver`).
-        self._track_spans = track_spans
 
     @property
     def num_nodes(self) -> int:
@@ -379,7 +347,7 @@ class DecoupledSystemAdapter(SystemAdapter):
     def _block_solver(self, matrix) -> BlockDiagonalSolver:
         factory = self._factory if self._factory is not None else _default_factory()
         inner = factory(matrix, method=self.solver, **self._options)
-        return BlockDiagonalSolver(inner, self._tracks, self.num_nodes, spans=self._track_spans)
+        return BlockDiagonalSolver(inner, self._tracks, self.num_nodes)
 
     def prepare(self, scheme: SteppingScheme, times: np.ndarray, h: float) -> PreparedSystem:
         inner = step_forms(

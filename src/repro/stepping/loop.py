@@ -49,9 +49,8 @@ def supports_warm_start(solver) -> bool:
     """True when ``solver.solve`` accepts an ``x0`` initial guess.
 
     The loop consults this once per run for whatever solver the adapter
-    supplied -- iterative backends (``cg``, ``mean-block-cg``,
-    ``degree-block-cg``) opt in simply by having the
-    parameter, direct backends by not having it.
+    supplied -- iterative backends (``cg``, ``mean-block-cg``) opt in
+    simply by having the parameter, direct backends by not having it.
     """
     try:
         return "x0" in inspect.signature(solver.solve).parameters

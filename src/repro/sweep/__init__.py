@@ -85,13 +85,13 @@ A benchmark artifact is a single JSON object::
 Cases are matched across artifacts by the identity tuple ``(engine, nodes,
 order, samples, corner)``, extended by ``solver`` and ``scheme`` when set;
 ``name`` is derived from the same fields.  Optional fields may be absent on
-read, and artifacts written while the ``hierarchical`` engine existed load
-with their ``partitions`` entries ignored.  The ``schema`` string is bumped
-on any backwards-incompatible change, and readers reject artifacts with an
-unknown schema.
+read, and artifacts written by removed code paths still load: their
+``partitions`` entries (the ``hierarchical`` engine), ``batched`` config
+flag and ``reused_factorization`` case entries (the batched scheduler) are
+ignored.  The ``schema`` string is bumped on any backwards-incompatible
+change, and readers reject artifacts with an unknown schema.
 """
 
-from .batch import BatchedCaseRunner, group_cases, topology_key
 from .plan import (
     DEFAULT_SWEEP_TRANSIENT,
     SweepCase,
@@ -143,7 +143,4 @@ __all__ = [
     "ThroughputReport",
     "check_throughput",
     "compare_records",
-    "BatchedCaseRunner",
-    "group_cases",
-    "topology_key",
 ]

@@ -50,8 +50,7 @@ _SAMPLED_ENGINES = ("montecarlo", "pce-regression")
 # Named variation corners.  "paper" is the experiment setting of Section 6;
 # "wide"/"tight" bracket it; the "rhs-only" family disables matrix variation
 # so the decoupled special case applies ("rhs-wide"/"rhs-tight" bracket the
-# excitation sigmas the same way "wide"/"tight" bracket the paper corner --
-# they give batched corner sweeps several stackable scenarios per topology).
+# excitation sigmas the same way "wide"/"tight" bracket the paper corner).
 _CORNERS: Dict[str, Dict] = {
     "paper": {},
     "wide": {"w": 30.0, "t": 20.0, "l": 30.0},

@@ -95,8 +95,8 @@ class BenchRecord:
 
         Like :meth:`~repro.sweep.plan.SweepCase.key`, ``solver`` and
         ``scheme`` extend the identity only when set; ``.get`` keeps
-        artifacts written before those fields readable.  A legacy
-        ``partitions`` entry is ignored.
+        artifacts written before those fields readable.  Legacy
+        ``partitions`` and ``reused_factorization`` entries are ignored.
         """
         mapping: Dict[Tuple, Dict] = {}
         for case in self.cases:
@@ -210,7 +210,6 @@ def record_from_outcome(outcome, config: Optional[Dict] = None) -> BenchRecord:
         "cases_executed": int(outcome.executed),
         "cases_reused": int(outcome.reused),
         "sweep_wall_time_s": float(outcome.wall_time),
-        "batched": bool(outcome.batched),
         "cases_per_second": (
             len(cases) / float(outcome.wall_time) if outcome.wall_time > 0 else None
         ),

@@ -29,7 +29,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class SweepCaseResult:
     solver: Optional[str] = None
     scheme: Optional[str] = None
     mor_order: Optional[int] = None
-    reused_factorization: Optional[bool] = None
     telemetry: Optional[Dict] = field(default=None, repr=False)
     times: Optional[np.ndarray] = field(default=None, repr=False)
     mean: Optional[np.ndarray] = field(default=None, repr=False)
@@ -134,8 +133,6 @@ class SweepCaseResult:
             "worst_drop_v": float(self.worst_drop),
             "max_std_v": float(self.max_std),
         }
-        if self.reused_factorization is not None:
-            record["reused_factorization"] = bool(self.reused_factorization)
         if self.telemetry is not None:
             record["telemetry"] = dict(self.telemetry)
         return record
@@ -224,59 +221,22 @@ class _SessionCache:
 _WORKER_SESSIONS = _SessionCache()
 
 
-def _session_for(case: SweepCase, transient: TransientConfig):
-    return _WORKER_SESSIONS.session_for(case, transient)
-
-
-def _run_case(
-    case: SweepCase,
-    session,
-    keep_statistics: bool,
-    keep_raw: bool,
-    profile_case: bool,
-) -> SweepCaseResult:
-    """Run one case on an already-built session."""
+def _execute_case(args) -> SweepCaseResult:
+    """Run one case (module-level so process pools can pickle it)."""
+    case, transient, keep_statistics, keep_raw, profile_case = args
+    session = _WORKER_SESSIONS.session_for(case, transient)
     started = time.perf_counter()
-    tele_summary = None
+    telemetry = None
     if profile_case:
         # A fresh per-case telemetry context, activated *inside* the worker
         # process: the summary is plain JSON-safe data, so it pickles back
         # to the driver with the result no matter the workers count.
         with profile() as tele:
             view = session.run(case.engine, mode="transient", **case.run_options())
-        tele_summary = tele.summary()
+        telemetry = tele.summary()
     else:
         view = session.run(case.engine, mode="transient", **case.run_options())
     elapsed = time.perf_counter() - started
-    # ``reused_factorization`` stays unset here: the per-case path flags
-    # nothing, only the batched scheduler marks its replicas, where the
-    # flag is a deterministic property of the schedule.  (A counter-delta
-    # heuristic would depend on process history and make exported records
-    # differ between an interrupted-and-resumed campaign and a straight
-    # run.)
-    return result_from_view(
-        case,
-        view,
-        vdd=float(session.vdd),
-        elapsed=elapsed,
-        keep_statistics=keep_statistics,
-        keep_raw=keep_raw,
-        telemetry=tele_summary,
-    )
-
-
-def result_from_view(
-    case: SweepCase,
-    view,
-    *,
-    vdd: float,
-    elapsed: float,
-    keep_statistics: bool,
-    keep_raw: bool,
-    telemetry: Optional[Dict] = None,
-    reused_factorization: Optional[bool] = None,
-) -> SweepCaseResult:
-    """Fold an engine result view into a :class:`SweepCaseResult`."""
     mean = view.mean()
     std = view.std()
     wall = view.wall_time if view.wall_time is not None else elapsed
@@ -289,7 +249,6 @@ def result_from_view(
         solver=case.solver,
         scheme=case.scheme,
         mor_order=case.mor_order,
-        reused_factorization=reused_factorization,
         telemetry=telemetry,
         seed=case.seed,
         name=case.name,
@@ -297,7 +256,7 @@ def result_from_view(
         wall_time=float(wall),
         worst_drop=float(view.worst_drop()),
         max_std=float(np.max(std)) if std.size else 0.0,
-        vdd=vdd,
+        vdd=float(session.vdd),
         times=np.asarray(view.raw.times, dtype=float)
         if keep_statistics and hasattr(view.raw, "times")
         else None,
@@ -305,27 +264,6 @@ def result_from_view(
         std=np.asarray(std, dtype=float) if keep_statistics else None,
         raw=view.raw if keep_raw else None,
     )
-
-
-def _execute_case(args) -> SweepCaseResult:
-    """Run one case (module-level so process pools can pickle it)."""
-    case, transient, keep_statistics, keep_raw, profile_case = args
-    session = _session_for(case, transient)
-    return _run_case(case, session, keep_statistics, keep_raw, profile_case)
-
-
-def _execute_group(args) -> List[Tuple[SweepCase, SweepCaseResult]]:
-    """Run one topology group of cases through the batched runner."""
-    from .batch import BatchedCaseRunner  # deferred: avoids an import cycle
-
-    cases, transient, keep_statistics, keep_raw, profile_case = args
-    runner = BatchedCaseRunner(
-        transient,
-        keep_statistics=keep_statistics,
-        keep_raw=keep_raw,
-        profile_case=profile_case,
-    )
-    return runner.run_group(cases)
 
 
 # --------------------------------------------------------------------------
@@ -372,7 +310,6 @@ class SweepOutcome:
     wall_time: float
     executed: int = 0
     reused: int = 0
-    batched: bool = False
 
     def __len__(self) -> int:
         return len(self.plan.cases)
@@ -450,28 +387,15 @@ class SweepOutcome:
 
         The per-engine accumulators of :meth:`moments` are folded into the
         overall one with :meth:`RunningMoments.merge` in sorted engine
-        order, so the combine is deterministic.  When the batched scheduler
-        flagged cases (``reused_factorization``), each summary also counts
-        them under ``cases_reusing_factorization``.
+        order, so the combine is deterministic.
         """
         per_engine = self.moments()
-        reused: Dict[str, int] = {}
-        flagged = False
-        for result in self:
-            if result.reused_factorization is not None:
-                flagged = True
-                if result.reused_factorization:
-                    reused[result.engine] = reused.get(result.engine, 0) + 1
         overall = RunningMoments()
         summaries: Dict[str, Dict[str, float]] = {}
         for engine in sorted(per_engine):
             summaries[engine] = _moments_summary(per_engine[engine])
-            if flagged:
-                summaries[engine]["cases_reusing_factorization"] = reused.get(engine, 0)
             overall.merge(per_engine[engine])
         summaries["overall"] = _moments_summary(overall)
-        if flagged:
-            summaries["overall"]["cases_reusing_factorization"] = sum(reused.values())
         return summaries
 
     def telemetry_summary(self) -> Optional[Dict]:
@@ -543,7 +467,6 @@ class SweepRunner:
         keep_raw: bool = False,
         retain_sessions: bool = False,
         telemetry: bool = False,
-        batch: bool = False,
     ):
         if workers < 1:
             raise AnalysisError(f"workers must be at least 1, got {workers}")
@@ -552,10 +475,6 @@ class SweepRunner:
         self.keep_raw = bool(keep_raw)
         self.retain_sessions = bool(retain_sessions)
         self.telemetry = bool(telemetry)
-        #: Batched mode: pooled cases are scheduled as topology groups
-        #: (see :mod:`repro.sweep.batch`) instead of one case per task.
-        #: Per-case statistics are bit-identical either way.
-        self.batch = bool(batch)
 
     def run(self, plan: SweepPlan, store: Optional[ResultsBackend] = None) -> SweepOutcome:
         """Execute the cases of ``plan`` that ``store`` does not already hold.
@@ -601,9 +520,7 @@ class SweepRunner:
             return (payload, plan.transient, self.keep_statistics, self.keep_raw, self.telemetry)
 
         try:
-            if self.batch:
-                self._run_batched(backend, plan, pooled_cases, driver_cases, job, pooled)
-            elif pooled:
+            if pooled:
                 with ProcessPoolExecutor(
                     max_workers=min(self.workers, len(pooled_cases))
                 ) as pool:
@@ -644,38 +561,7 @@ class SweepRunner:
             wall_time=elapsed,
             executed=len(pending),
             reused=reused,
-            batched=self.batch,
         )
-
-    def _run_batched(self, backend, plan, pooled_cases, driver_cases, job, pooled) -> None:
-        """Batched scheduling: pooled cases fan out as topology groups."""
-        from .batch import BatchedCaseRunner, group_cases
-
-        groups = group_cases(pooled_cases)
-        if pooled and len(groups) > 1:
-            with ProcessPoolExecutor(max_workers=min(self.workers, len(groups))) as pool:
-                futures = [pool.submit(_execute_group, job(tuple(group))) for group in groups]
-                try:
-                    for case in driver_cases:
-                        backend.append(case, _execute_case(job(case)))
-                    for future in as_completed(futures):
-                        for case, result in future.result():
-                            backend.append(case, result)
-                except BaseException:
-                    pool.shutdown(wait=True, cancel_futures=True)
-                    raise
-        else:
-            runner = BatchedCaseRunner(
-                plan.transient,
-                keep_statistics=self.keep_statistics,
-                keep_raw=self.keep_raw,
-                profile_case=self.telemetry,
-            )
-            for group in groups:
-                for case, result in runner.run_group(group):
-                    backend.append(case, result)
-            for case in driver_cases:
-                backend.append(case, _execute_case(job(case)))
 
     def resume(self, plan: SweepPlan, store: ResultsBackend) -> SweepOutcome:
         """Continue an interrupted campaign from ``store``.

@@ -247,7 +247,6 @@ def _result_from_entry(entry: Dict, times, mean, std):
         solver=None if entry["solver"] is None else str(entry["solver"]),
         scheme=None if entry["scheme"] is None else str(entry["scheme"]),
         telemetry=entry.get("telemetry"),
-        reused_factorization=entry.get("reused_factorization"),
         times=times,
         mean=mean,
         std=std,

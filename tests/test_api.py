@@ -109,18 +109,19 @@ class TestConstruction:
 class TestEngines:
     def test_builtin_engine_names(self):
         names = engine_names()
-        for expected in ("opera", "decoupled", "montecarlo", "deterministic", "randomwalk"):
+        for expected in ("opera", "decoupled", "montecarlo", "deterministic"):
             assert expected in names
+        assert "randomwalk" not in names
 
     def test_all_five_engines_on_one_session(self, rhs_only_session):
-        """Acceptance: the facade runs all five registered engines on the
-        same session object, each returning a protocol-conformant result."""
+        """Acceptance: the facade runs five registered engines on the same
+        session object, each returning a protocol-conformant result."""
         results = {
             "opera": rhs_only_session.run("opera", order=2),
             "decoupled": rhs_only_session.run("decoupled", order=2),
             "montecarlo": rhs_only_session.run("montecarlo", samples=8, seed=1),
             "deterministic": rhs_only_session.run("deterministic"),
-            "randomwalk": rhs_only_session.run("randomwalk", num_walks=50),
+            "pce-regression": rhs_only_session.run("pce-regression", order=1, samples=20),
         }
         for name, result in results.items():
             assert isinstance(result, AnalysisResult), name
@@ -158,27 +159,10 @@ class TestEngines:
         result = session.run("montecarlo", mode="dc", samples=6, seed=2)
         assert result.to_dict()["num_samples"] == 6
 
-    def test_randomwalk_default_mode_is_dc(self, session):
-        result = session.run("randomwalk", num_walks=40)
-        assert result.mode == "dc"
-        assert result.mean().shape == (1,)
-
-    def test_randomwalk_rejects_transient(self, session):
-        with pytest.raises(AnalysisError):
-            session.run("randomwalk", mode="transient")
-
-    def test_randomwalk_matches_dc_solution(self, session):
-        node = int(np.argmax(session.stamped.drain_current_vector(0.0)))
-        estimate = session.run("randomwalk", nodes=node, num_walks=800, seed=5)
-        exact = session.run("deterministic", mode="dc")
-        assert estimate.mean()[0] == pytest.approx(
-            exact.mean()[node], abs=6 * max(estimate.std()[0], 1e-6)
-        )
-
     def test_unknown_engine_lists_choices(self, session):
         listing = "registered engines: " + ", ".join(engine_names())
         # Typos and engines that no longer exist fail the same way.
-        for name in ("bogus", "hierarchical"):
+        for name in ("bogus", "hierarchical", "randomwalk"):
             with pytest.raises(AnalysisError, match="registered engines") as info:
                 session.run(name)
             assert listing in str(info.value)
@@ -301,13 +285,14 @@ class TestEngineRegistry:
 class TestSolverRegistry:
     def test_builtin_solver_names(self):
         names = solver_names()
-        for expected in ("direct", "cg", "mean-block-cg", "degree-block-cg"):
+        for expected in ("direct", "cg", "mean-block-cg"):
             assert expected in names
+        assert "degree-block-cg" not in names
 
     def test_unknown_solver_lists_choices(self, small_stamped):
         listing = "registered solvers: " + ", ".join(solver_names())
         # Typos and backends that no longer exist fail the same way.
-        for name in ("bogus", "schur", "schwarz-cg", "ilu-cg"):
+        for name in ("bogus", "schur", "schwarz-cg", "ilu-cg", "degree-block-cg"):
             with pytest.raises(SolverError, match="registered solvers") as info:
                 make_solver(small_stamped.conductance, method=name)
             assert listing in str(info.value)
@@ -454,14 +439,14 @@ class TestCLIEngineFlags:
         assert "worst_drop" in out
 
     def test_analyze_unknown_engine_fails_with_listing(self, capsys):
-        for name in ("bogus", "hierarchical"):
+        for name in ("bogus", "hierarchical", "randomwalk"):
             code = cli_main(["analyze", *self.COMMON, "--engine", name])
             assert code == 2
             err = capsys.readouterr().err
             assert "registered engines: " + ", ".join(engine_names()) in err
 
     def test_analyze_unknown_solver_fails_with_listing(self, capsys):
-        for name in ("bogus", "schur", "schwarz-cg", "ilu-cg"):
+        for name in ("bogus", "schur", "schwarz-cg", "ilu-cg", "degree-block-cg"):
             code = cli_main(["analyze", *self.COMMON, "--solver", name])
             assert code == 2
             err = capsys.readouterr().err

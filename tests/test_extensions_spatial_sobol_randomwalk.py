@@ -1,5 +1,5 @@
-"""Tests for the extension modules: spatial intra-die variation, Sobol'
-variance decomposition, and the random-walk DC solver."""
+"""Tests for the extension modules: spatial intra-die variation and Sobol'
+variance decomposition."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,11 @@ import pytest
 from repro.analysis.sobol import sobol_indices, transient_total_indices
 from repro.chaos.basis import PolynomialChaosBasis
 from repro.chaos.response import StochasticField
-from repro.errors import AnalysisError, SolverError, VariationModelError
+from repro.errors import AnalysisError, VariationModelError
 from repro.grid import GridSpec, generate_power_grid, stamp
 from repro.montecarlo import MonteCarloConfig, run_monte_carlo_transient
 from repro.opera import OperaConfig, run_opera_transient
 from repro.sim import TransientConfig
-from repro.sim.dc import dc_operating_point
-from repro.sim.randomwalk import RandomWalkSolver
 from repro.variation import (
     RegionPartition,
     SpatialVariationSpec,
@@ -253,67 +251,3 @@ class TestSobolIndices:
         result = run_opera_transient(small_system, config)
         with pytest.raises(AnalysisError):
             transient_total_indices(result, 0)
-
-
-# ---------------------------------------------------------------------------
-# Random-walk DC solver
-# ---------------------------------------------------------------------------
-class TestRandomWalkSolver:
-    @pytest.fixture(scope="class")
-    def walk_setup(self):
-        spec = GridSpec(nx=8, ny=8, num_layers=2, num_blocks=3, pad_spacing=2, seed=5)
-        netlist = generate_power_grid(spec)
-        stamped = stamp(netlist)
-        reference = dc_operating_point(stamped, t=0.3e-9)
-        return stamped, reference
-
-    def test_estimate_matches_direct_solution(self, walk_setup):
-        stamped, reference = walk_setup
-        solver = RandomWalkSolver(stamped, t=0.3e-9, seed=7)
-        node = reference.worst_node()
-        estimate = solver.estimate(node, num_walks=2000)
-        assert estimate.voltage == pytest.approx(
-            reference.voltages[node], abs=4 * estimate.standard_error + 1e-4
-        )
-
-    def test_confidence_interval_contains_truth_most_of_the_time(self, walk_setup):
-        stamped, reference = walk_setup
-        solver = RandomWalkSolver(stamped, t=0.3e-9, seed=11)
-        hits = 0
-        nodes = np.linspace(0, stamped.num_nodes - 1, 6, dtype=int)
-        for node in nodes:
-            estimate = solver.estimate(int(node), num_walks=600)
-            low, high = estimate.confidence_interval_95
-            if low - 1e-4 <= reference.voltages[node] <= high + 1e-4:
-                hits += 1
-        assert hits >= 4  # 95% CI, 6 trials: at least 4 hits is a safe bound
-
-    def test_standard_error_shrinks_with_walks(self, walk_setup):
-        stamped, reference = walk_setup
-        node = reference.worst_node()
-        few = RandomWalkSolver(stamped, t=0.3e-9, seed=3).estimate(node, num_walks=100)
-        many = RandomWalkSolver(stamped, t=0.3e-9, seed=3).estimate(node, num_walks=1600)
-        assert many.standard_error < few.standard_error
-
-    def test_node_under_pad_needs_short_walks(self, walk_setup):
-        stamped, _ = walk_setup
-        solver = RandomWalkSolver(stamped, t=0.3e-9, seed=1)
-        pad_node = int(stamped.pad_nodes[0])
-        estimate = solver.estimate(pad_node, num_walks=300)
-        far_node = int(np.argmax(stamped.drain_current_vector(0.3e-9)))
-        far_estimate = solver.estimate(far_node, num_walks=300)
-        assert estimate.average_walk_length < far_estimate.average_walk_length
-
-    def test_reproducible_with_seed(self, walk_setup):
-        stamped, _ = walk_setup
-        a = RandomWalkSolver(stamped, seed=42).estimate(0, num_walks=50)
-        b = RandomWalkSolver(stamped, seed=42).estimate(0, num_walks=50)
-        assert a.voltage == b.voltage
-
-    def test_validation(self, walk_setup):
-        stamped, _ = walk_setup
-        solver = RandomWalkSolver(stamped, seed=0)
-        with pytest.raises(SolverError):
-            solver.estimate(-1)
-        with pytest.raises(SolverError):
-            solver.estimate(0, num_walks=0)

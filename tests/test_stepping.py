@@ -4,8 +4,7 @@ Covers the scheme registry, the hoisted step forms, the convergence order
 of every built-in scheme on an analytic RC reference, the no-behaviour-
 change contract of the engine rewiring (frozen pre-refactor waveforms,
 ``tests/data/stepping_reference.npz``), cross-engine equivalence per
-scheme, the ``degree-block-cg`` solver backend, and the ``scheme`` plumbing
-through sweeps and the CLI.
+scheme, and the ``scheme`` plumbing through sweeps and the CLI.
 """
 
 from __future__ import annotations
@@ -17,10 +16,9 @@ import pytest
 import scipy.sparse as sp
 
 from repro.api import Analysis
-from repro.errors import SchemeError, SolverError
-from repro.linalg import DegreeBlockCGSolver
+from repro.errors import SchemeError
 from repro.linalg.operator import KronSumOperator
-from repro.sim import ConjugateGradientSolver, DirectSolver, TransientConfig, make_solver
+from repro.sim import ConjugateGradientSolver, DirectSolver, TransientConfig
 from repro.sim.transient import run_transient
 from repro.stepping import (
     BackwardEulerScheme,
@@ -334,90 +332,6 @@ class TestWarmStart:
         first = loop.run()
         second = loop.run()
         np.testing.assert_array_equal(second.states, first.states)
-
-
-# ---------------------------------------------------------------------------
-# degree-block-cg
-# ---------------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def order3_galerkin(reference_sessions):
-    paper, _ = reference_sessions
-    session = paper
-    return session, session.galerkin(3)
-
-
-class TestDegreeBlockCG:
-    def test_matches_direct_on_operator(self, order3_galerkin):
-        session, galerkin = order3_galerkin
-        operator = galerkin.conductance_operator
-        degrees = tuple(int(d) for d in galerkin.basis.degrees)
-        rhs = galerkin.rhs(0.0)
-        solver = DegreeBlockCGSolver(operator, degrees=degrees)
-        expected = DirectSolver(sp.csc_matrix(galerkin.conductance)).solve(rhs)
-        np.testing.assert_allclose(solver.solve(rhs), expected, rtol=0.0, atol=1e-9)
-
-    def test_band_layout(self, order3_galerkin):
-        session, galerkin = order3_galerkin
-        degrees = np.asarray(galerkin.basis.degrees)
-        solver = DegreeBlockCGSolver(
-            galerkin.conductance_operator, degrees=degrees, band_degrees=2
-        )
-        sizes = solver.stats["band_sizes"]
-        # Bands pair consecutive degrees: {0,1} then {2,3}.
-        assert sizes == [int(np.sum(degrees <= 1)), int(np.sum(degrees >= 2))]
-        per_degree = DegreeBlockCGSolver(
-            galerkin.conductance_operator, degrees=degrees, band_degrees=1
-        )
-        assert per_degree.stats["band_sizes"] == [
-            int(np.sum(degrees == d)) for d in range(int(degrees.max()) + 1)
-        ]
-
-    def test_explicit_matrix_input(self, order3_galerkin):
-        session, galerkin = order3_galerkin
-        degrees = tuple(int(d) for d in galerkin.basis.degrees)
-        rhs = galerkin.rhs(0.0)
-        solver = make_solver(
-            galerkin.conductance,
-            method="degree-block-cg",
-            degrees=degrees,
-            num_nodes=galerkin.num_nodes,
-        )
-        expected = DirectSolver(sp.csc_matrix(galerkin.conductance)).solve(rhs)
-        np.testing.assert_allclose(solver.solve(rhs), expected, rtol=0.0, atol=1e-9)
-
-    def test_warm_start_supported(self, order3_galerkin):
-        session, galerkin = order3_galerkin
-        degrees = tuple(int(d) for d in galerkin.basis.degrees)
-        solver = DegreeBlockCGSolver(galerkin.conductance_operator, degrees=degrees)
-        assert supports_warm_start(solver)
-        rhs = galerkin.rhs(0.0)
-        first = solver.solve(rhs)
-        cold_iterations = solver.stats["last_iterations"]
-        solver.solve(rhs, x0=first)
-        assert solver.stats["last_iterations"] <= cold_iterations
-
-    def test_validation_errors(self, order3_galerkin):
-        session, galerkin = order3_galerkin
-        operator = galerkin.conductance_operator
-        with pytest.raises(SolverError, match="degrees"):
-            DegreeBlockCGSolver(operator)
-        with pytest.raises(SolverError, match="num_nodes"):
-            DegreeBlockCGSolver(galerkin.conductance, degrees=(0, 1))
-        with pytest.raises(SolverError, match="non-decreasing"):
-            DegreeBlockCGSolver(operator, degrees=[1] + [0] * (operator.basis_size - 1))
-        with pytest.raises(SolverError, match="band_degrees"):
-            DegreeBlockCGSolver(
-                operator,
-                degrees=tuple(int(d) for d in galerkin.basis.degrees),
-                band_degrees=0,
-            )
-
-    def test_engine_level_matches_direct(self, reference_sessions):
-        paper, _ = reference_sessions
-        direct = paper.run("opera", order=3)
-        banded = paper.run("opera", order=3, solver="degree-block-cg")
-        np.testing.assert_allclose(banded.mean(), direct.mean(), rtol=0.0, atol=1e-10)
-        np.testing.assert_allclose(banded.std(), direct.std(), rtol=0.0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.cli import main as cli_main
-from repro.errors import AnalysisError, StoreError
+from repro.errors import AnalysisError, SolverError, StoreError
 from repro.sim import TransientConfig
+from repro.sim.linear import (
+    DirectSolver,
+    canonical_csc,
+    clear_pattern_cache,
+    factorization_counters,
+    reset_factorization_counters,
+    sparsity_fingerprint,
+)
 from repro.sweep import (
     SCHEMA,
     BenchRecord,
@@ -21,6 +30,7 @@ from repro.sweep import (
     SweepCase,
     SweepPlan,
     SweepRunner,
+    check_throughput,
     compare_records,
     corner_names,
     corner_spec,
@@ -29,12 +39,18 @@ from repro.sweep import (
     record_from_outcome,
     record_from_store,
 )
+from repro.sweep.runner import _SessionCache
 
 FAST_TRANSIENT = TransientConfig(t_stop=1.2e-9, dt=0.2e-9)
 
-#: A record and a sharded store written while the ``hierarchical`` engine
-#: existed: every case carries ``"partitions"``, and one case is a
-#: ``hierarchical`` run with ``partitions=2``.
+#: Records and sharded stores written by since-removed code paths.
+#: ``record.json`` / ``store/`` predate the ``hierarchical`` engine's removal:
+#: every case carries ``"partitions"``, and one case is a ``hierarchical``
+#: run with ``partitions=2``.  ``batched_record.json`` / ``batched_store/``
+#: come from the batched sweep scheduler: the record's config carries
+#: ``"batched": true``, its stacked cases carry ``reused_factorization`` and
+#: one case ran the ``degree-block-cg`` solver; the store holds the two
+#: stacked cases.
 LEGACY = Path(__file__).parent / "data" / "legacy_sweep"
 
 
@@ -237,6 +253,10 @@ class TestSweepRunner:
         ) / 4
         assert aggregates["overall"]["worst_drop_mean_v"] == pytest.approx(merged_mean)
 
+    def test_aggregates_never_carry_cases_reusing_factorization(self, small_outcome):
+        for summary in small_outcome.aggregates().values():
+            assert "cases_reusing_factorization" not in summary
+
     def test_keep_raw_ships_native_result(self):
         plan = SweepPlan(
             cases=(SweepCase(engine="opera", nodes=60, order=1),),
@@ -260,7 +280,84 @@ class TestSweepRunner:
             SweepRunner(workers=0)
 
 
+class TestSessionCacheLru:
+    CASE = SweepCase(engine="opera", nodes=90, order=2, corner="rhs-only")
+
+    def test_evicts_least_recent_grid(self):
+        cache = _SessionCache(max_grids=2)
+        for nodes in (30, 40):
+            cache.session_for(dataclasses.replace(self.CASE, nodes=nodes), FAST_TRANSIENT)
+        assert len(cache) == 2
+        # refresh 30, then 50 evicts 40
+        cache.session_for(dataclasses.replace(self.CASE, nodes=30), FAST_TRANSIENT)
+        cache.session_for(dataclasses.replace(self.CASE, nodes=50), FAST_TRANSIENT)
+        keys = {key[0] for key in cache._grids}
+        assert keys == {30, 50}
+
+    def test_sibling_sessions_share_grid_resources(self):
+        cache = _SessionCache(max_grids=2)
+        first = cache.session_for(self.CASE, FAST_TRANSIENT)
+        other = dataclasses.replace(self.CASE, corner="rhs-tight")
+        second = cache.session_for(other, FAST_TRANSIENT)
+        assert second is not first
+        assert second.netlist is first.netlist
+        assert second.stamped is first.stamped
+
+
+class TestSymbolicNumericSplit:
+    """The sparsity-pattern cache behind ``canonical_csc`` and ``refactor``."""
+
+    def _matrix(self, seed: int) -> sp.csr_matrix:
+        rng = np.random.default_rng(7)
+        base = sp.random(40, 40, density=0.12, random_state=rng, format="csr")
+        matrix = (base + base.T + 80.0 * sp.eye(40)).tocsr()
+        matrix.data = matrix.data * np.random.default_rng(seed).uniform(0.5, 1.5, matrix.nnz)
+        return matrix
+
+    def test_fingerprint_is_values_free(self):
+        a, b = self._matrix(1), self._matrix(2)
+        assert sparsity_fingerprint(a) == sparsity_fingerprint(b)
+        assert a.data.tobytes() != b.data.tobytes()
+
+    def test_canonical_csc_bitwise_matches_plain_conversion(self):
+        clear_pattern_cache()
+        for seed in (1, 2, 3):
+            matrix = self._matrix(seed)
+            cached = canonical_csc(matrix)
+            plain = sp.csc_matrix(matrix)
+            assert cached.data.tobytes() == plain.data.tobytes()
+            assert np.array_equal(cached.indices, plain.indices)
+            assert np.array_equal(cached.indptr, plain.indptr)
+
+    def test_refactor_counts_and_matches_fresh_solver(self):
+        clear_pattern_cache()
+        reset_factorization_counters()
+        first = DirectSolver(self._matrix(1))
+        second_matrix = self._matrix(2)
+        refactored = first.refactor(second_matrix)
+        counters = factorization_counters()
+        assert counters["symbolic_analysis"] == 1
+        assert counters["symbolic_reuse"] == 1
+        assert counters["numeric_refactor"] == 1
+        rhs = np.random.default_rng(0).normal(size=40)
+        clear_pattern_cache()
+        fresh = DirectSolver(second_matrix)
+        assert refactored.solve(rhs).tobytes() == fresh.solve(rhs).tobytes()
+
+    def test_refactor_rejects_shape_mismatch(self):
+        solver = DirectSolver(self._matrix(1))
+        with pytest.raises(SolverError, match="shape"):
+            solver.refactor(sp.eye(10, format="csr"))
+
+
 class TestBenchRecord:
+    def test_record_reports_throughput(self, small_outcome):
+        record = record_from_outcome(small_outcome)
+        assert "batched" not in record.config
+        assert record.config["cases_per_second"] == pytest.approx(
+            len(small_outcome.plan.cases) / small_outcome.wall_time
+        )
+
     def test_round_trip(self, small_outcome):
         record = record_from_outcome(small_outcome, config={"suite": "test"})
         rebuilt = BenchRecord.from_json(record.to_json())
@@ -572,6 +669,53 @@ class TestLegacyArtifacts:
         assert not report.regressions
         assert report.missing == ("hierarchical-n100-o1-p2-paper",)
 
+    BATCHED_NAMES = ("opera-n100-o1-rhs-only", "decoupled-n100-o1-rhs-only")
+
+    @staticmethod
+    def _batched_plan():
+        """The batched artifacts' plan without its ``degree-block-cg`` case."""
+        cases = tuple(
+            SweepCase(
+                engine, 100, grid_seed=grid_seed_for(100), corner="rhs-only", order=1
+            ).with_derived_seed(0)
+            for engine in ("opera", "decoupled")
+        )
+        return SweepPlan(cases, transient=TransientConfig(t_stop=4 * 0.2e-9, dt=0.2e-9))
+
+    def test_batched_store_key_unchanged(self):
+        opera = self._batched_plan().cases[0]
+        assert opera.store_key() == "opera|100|1|None|rhs-only|grid=9740|seed=1778303611"
+
+    def test_batched_record_loads_and_compares(self):
+        record = BenchRecord.load(LEGACY / "batched_record.json")
+        assert record.config["batched"] is True
+        assert [case.get("reused_factorization") for case in record.cases] == [False, True, None]
+        assert record.cases[2]["solver"] == "degree-block-cg"
+        assert len(record.case_map()) == 3
+        report = compare_records(record, record)
+        assert report.ok
+        assert {delta.name for delta in report.deltas} == {
+            *self.BATCHED_NAMES,
+            "opera-n100-o1-degree-block-cg-paper",
+        }
+
+    def test_batched_store_resumes_every_kept_case(self, tmp_path):
+        shutil.copytree(LEGACY / "batched_store", tmp_path / "store")
+        store = ShardedNpzBackend(tmp_path / "store")
+        outcome = SweepRunner(keep_statistics=True).resume(self._batched_plan(), store)
+        assert (outcome.executed, outcome.reused) == (0, 2)
+        assert tuple(result.name for result in outcome) == self.BATCHED_NAMES
+        # The stored reused_factorization flags are ignored on load.
+        assert all(result.has_statistics for result in outcome)
+        assert "cases_reusing_factorization" not in outcome.aggregates()["overall"]
+
+        report = compare_records(
+            BenchRecord.load(LEGACY / "batched_record.json"), record_from_outcome(outcome)
+        )
+        assert tuple(delta.name for delta in report.deltas) == self.BATCHED_NAMES
+        assert not report.regressions
+        assert report.missing == ("opera-n100-o1-degree-block-cg-paper",)
+
 
 def _record_with_wall_times(small_outcome, scale: float) -> BenchRecord:
     payload = record_from_outcome(small_outcome).to_dict()
@@ -581,6 +725,14 @@ def _record_with_wall_times(small_outcome, scale: float) -> BenchRecord:
 
 
 class TestRegress:
+    def test_throughput_gate_clamps_fast_runs(self, small_outcome):
+        record = record_from_outcome(small_outcome)
+        fast = check_throughput(record, min_cases_per_second=1e12, min_seconds=3600.0)
+        assert fast.ok  # wall under the clamp passes any floor
+        slow = check_throughput(record, min_cases_per_second=1e12, min_seconds=0.0)
+        assert not slow.ok
+        assert "cases/s" in slow.format()
+
     def test_identical_records_pass(self, small_outcome):
         record = record_from_outcome(small_outcome)
         report = compare_records(record, record)
@@ -723,6 +875,14 @@ class TestSweepCli:
     def test_sweep_rejects_unknown_engine(self, capsys):
         assert cli_main(["sweep", "--nodes", "60", "--engines", "bogus"]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_sweep_rejects_removed_batch_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["sweep", "--nodes", "60", "--samples", "8", "--batch"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "unrecognized arguments: --batch" in err
 
     def test_sweep_rejects_unknown_corner(self, capsys):
         assert (cli_main(["sweep", "--nodes", "60", "--samples", "8", "--corners", "bogus"]) == 2)
