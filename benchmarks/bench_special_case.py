@@ -4,10 +4,10 @@ The paper shows that when only the drain currents vary, the Galerkin system
 decouples into independent solves that share a single LU factorisation
 (Eq. (27)).  This bench drives both paths through the engine registry:
 
-* times the ``decoupled`` engine and the ``opera`` engine with
-  ``force_coupled=True`` on the same leakage-variation session and checks
-  they produce identical statistics -- the decoupled path must also be
-  substantially faster;
+* times the ``opera`` engine (which routes RHS-only variation to the
+  decoupled path) and ``opera`` with ``force_coupled=True`` on the same
+  leakage-variation session and checks they produce identical statistics
+  -- the decoupled path must also be substantially faster;
 * times the ``montecarlo`` engine for the speed-up figure;
 * records the exact moments the special case produces (the improvement the
   paper claims over the variance *bounds* of prior work).
@@ -40,7 +40,7 @@ def test_decoupled_solver_speed(benchmark, leakage_session, results_dir):
     """Time the decoupled special-case path (single factorisation)."""
     decoupled = benchmark.pedantic(
         leakage_session.run,
-        kwargs=dict(engine="decoupled", order=2),
+        kwargs=dict(engine="opera", order=2),
         rounds=1,
         iterations=1,
     ).raw

@@ -144,17 +144,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         base_seed=BASE_SEED,
     )
     # One matrix-free case per grid (the opera engine on the lazy
-    # Kronecker-sum operators with the mean-block-cg backend), one
+    # Kronecker-sum operators with the mean-block-cg backend) and one
     # backward-euler case per grid (the opera engine through the shared
-    # repro.stepping core on the first-order scheme), and one macromodel
-    # case per grid (the mor engine: PRIMA reduction, reduced block march,
-    # back-substituted statistics), so the smoke job exercises -- and the
-    # gate tracks -- the operator path, the scheme plumbing and the
-    # reduction stack.  Hand-built appended cases derive their seeds via
-    # the append-only identity, so the grid cases' seeds are unchanged.
+    # repro.stepping core on the first-order scheme), so the smoke job
+    # exercises -- and the gate tracks -- the operator path and the scheme
+    # plumbing.  Hand-built appended cases derive their seeds via the
+    # append-only identity, so the grid cases' seeds are unchanged.
     def extra_case(nodes: int, **fields) -> SweepCase:
-        fields.setdefault("engine", "opera")
         return SweepCase(
+            engine="opera",
             nodes=int(nodes),
             grid_seed=grid_seed_for(nodes, BASE_SEED),
             order=2,
@@ -164,11 +162,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     extras = tuple(
         extra_case(nodes, **fields)
         for nodes in bench_node_counts()
-        for fields in (
-            {"solver": "mean-block-cg"},
-            {"scheme": "backward-euler"},
-            {"engine": "mor", "mor_order": 2},
-        )
+        for fields in ({"solver": "mean-block-cg"}, {"scheme": "backward-euler"})
     )
     plan = dataclasses.replace(plan, cases=plan.cases + extras)
 

@@ -9,8 +9,9 @@ moments exactly -- this script prints them and cross-checks against Monte
 Carlo.
 
 The prebuilt leakage system is injected into an :class:`repro.Analysis`
-session with ``with_system``, after which the ``decoupled`` and
-``montecarlo`` engines (and the comparison metrics) run as usual.
+session with ``with_system``, after which the ``opera`` engine (which takes
+the decoupled special case on its own) and the ``montecarlo`` engine (and
+the comparison metrics) run as usual.
 
 Run with:  python examples/leakage_special_case.py [--regions 2] [--vth-sigma 0.03]
 """
@@ -52,7 +53,7 @@ def main() -> None:
         f"lognormal sigma s = {leakage_spec.lognormal_sigma:.3f}"
     )
 
-    opera_view = session.run("decoupled", order=3)
+    opera_view = session.run("opera", order=3)
     opera_result = opera_view.raw
     print(f"OPERA (decoupled special case) finished in {opera_view.wall_time:.2f} s")
 

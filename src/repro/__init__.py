@@ -24,16 +24,14 @@ Variations" (Ghanta, Vrudhula, Panda, Wang -- DATE 2005).  It contains:
   augmented Galerkin system (:class:`~repro.linalg.KronSumOperator`) and
   the block-preconditioned CG backend ``mean-block-cg`` (one
   nominal-block LU preconditioning all chaos blocks at once);
-* :mod:`repro.mor` -- PRIMA-style model order reduction (extension);
+* :mod:`repro.mor` -- PRIMA-style model order reduction of one RC system
+  (extension; not an analysis engine);
 * :mod:`repro.api` -- the unified :class:`~repro.api.Analysis` session
   facade, the engine/solver registries and the shared result protocol;
 * :mod:`repro.sweep` -- parallel execution of many analyses (node counts x
   engines x chaos orders x variation corners) over a process pool, with
   versioned benchmark artifacts and a wall-time regression gate
-  (``opera-run sweep``);
-* :mod:`repro.partition` -- deterministic graph partitioning of a grid into
-  decoupled block interiors plus an interface (the ``mor`` engine's atom
-  tiling).
+  (``opera-run sweep``).
 
 Quick start -- the :class:`~repro.api.Analysis` facade is the recommended
 entry point.  A session owns the grid, the variation model and a cache of
@@ -50,8 +48,8 @@ so repeated runs reuse work::
     print(session.summarize(opera))                # worst node, 3-sigma spread
     print(session.compare(samples=200))            # Table-1 accuracy/speed-up row
 
-Every engine (``opera``, ``decoupled``, ``montecarlo``, ``deterministic``,
-``pce-regression``, ``mor``, plus anything added with
+Every engine (``opera``, ``montecarlo``, ``deterministic``,
+``pce-regression``, plus anything added with
 :func:`~repro.api.register_engine`) returns an
 :class:`~repro.api.AnalysisResult`: uniform ``mean()``, ``std()``,
 ``worst_drop()``, ``wall_time`` and ``to_dict()``, with the engine-native

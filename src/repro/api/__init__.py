@@ -35,9 +35,6 @@ backends and serialisations):
     ``warm_start_hit_rate``, ``lhs_hoists`` / ``lhs_reused_solves`` and
     final/max relative residuals (see
     :class:`repro.telemetry.StepStats`).
-
-``mor`` runs additionally report a ``partition`` block (atom tiling and
-interface statistics).
 """
 
 from ..sim.linear import (

@@ -87,7 +87,7 @@ def compare(
     transient = transient if transient is not None else session.transient
 
     reference_opts = dict(reference_options or {})
-    if reference_engine in ("opera", "decoupled"):
+    if reference_engine == "opera":
         reference_opts.setdefault("order", order)
     reference = session.run(
         reference_engine,

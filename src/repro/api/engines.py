@@ -1,4 +1,4 @@
-"""The analysis-engine registry and the four built-in engines.
+"""The analysis-engine registry and the three core engines.
 
 An *engine* is a callable ``engine(session, mode=None, **options)`` that runs
 one kind of analysis on an :class:`~repro.api.session.Analysis` session and
@@ -16,8 +16,6 @@ Built-ins:
 ``opera``
     The paper's stochastic Galerkin method (transient or DC), automatically
     using the decoupled special case when only the excitation varies.
-``decoupled``
-    The Section-5.1 special case explicitly (errors on matrix variation).
 ``montecarlo``
     The sampling reference (transient or DC).
 ``deterministic``
@@ -38,7 +36,6 @@ from ..montecarlo.engine import (
 )
 from ..opera.config import OperaConfig
 from ..opera.engine import run_opera_dc, run_opera_transient
-from ..opera.special_case import run_decoupled_transient
 from ..registry import Registry
 from ..sim.dc import dc_operating_point
 from ..sim.transient import TransientConfig
@@ -218,32 +215,6 @@ def _run_opera_engine(session, mode: Optional[str] = None, **options):
     return view
 
 
-@register_engine("decoupled")
-def _run_decoupled_engine(session, mode: Optional[str] = None, **options):
-    """Section-5.1 decoupled special case (RHS-only variation, explicit)."""
-    mode = mode or "transient"
-    _check_mode("decoupled", mode, ("transient",))
-    order = int(options.pop("order", 2))
-    solver = options.pop("solver", None)
-    stats_before = session.solver_stats()
-    transient = _resolve_transient(session, options)
-    config = OperaConfig(
-        transient=transient,
-        order=order,
-        solver=solver,
-        store_coefficients=bool(options.pop("store_coefficients", True)),
-    )
-    _reject_unknown(options, "decoupled", mode)
-    system = session.system
-    result = run_decoupled_transient(
-        system, config, basis=session.basis(order), solver_factory=session.solver
-    )
-    view = StochasticResultView("decoupled", "transient", result, system.vdd)
-    view.transient = transient
-    view.solver_stats = _solver_stats_delta(stats_before, session.solver_stats())
-    return view
-
-
 @register_engine("montecarlo")
 def _run_montecarlo_engine(session, mode: Optional[str] = None, **options):
     """Monte Carlo reference (full deterministic run per germ sample)."""
@@ -326,10 +297,8 @@ def _run_deterministic_engine(session, mode: Optional[str] = None, **options):
     return view
 
 
-# The linalg subsystem registers the "mean-block-cg" solver backend, the
-# regression subsystem the "pce-regression" engine and the mor subsystem the
-# "mor" engine on import; pulling them in here makes them available to
-# everything that goes through the registries.
+# The linalg subsystem registers the "mean-block-cg" solver backend and the
+# regression subsystem the "pce-regression" engine on import; pulling them in
+# here makes them available to everything that goes through the registries.
 from .. import linalg as _linalg  # noqa: E402,F401
 from ..regression import engine as _regression_engine  # noqa: E402,F401
-from ..mor import engine as _mor_engine  # noqa: E402,F401

@@ -117,9 +117,6 @@ class EngineResult:
         }
         if self.solver_stats:
             summary["solver_stats"] = _sorted_stats(self.solver_stats)
-        partition_stats = getattr(self, "partition_stats", None)
-        if partition_stats:
-            summary["partition"] = dict(partition_stats)
         return summary
 
     def __repr__(self) -> str:
@@ -131,7 +128,7 @@ class EngineResult:
 
 
 class StochasticResultView(EngineResult):
-    """Chaos-expansion results (the ``opera`` and ``decoupled`` engines)."""
+    """Chaos-expansion results (the ``opera`` engine)."""
 
     def __init__(self, engine: str, mode: str, raw, vdd: float, wall_time=None):
         if not isinstance(raw, (StochasticTransientResult, StochasticField)):

@@ -66,7 +66,7 @@ class Analysis:
     nominal transients, so follow-up runs skip the expensive setup.
     """
 
-    _CACHE_NAMES = ("basis", "solver", "galerkin", "nominal", "macromodel")
+    _CACHE_NAMES = ("basis", "solver", "galerkin", "nominal")
 
     def __init__(
         self,
@@ -275,30 +275,6 @@ class Analysis:
             self._stats["galerkin"]["hits"] += 1
         return cache[key]
 
-    def macromodel(self, key, builder, verify=None):
-        """Per-block macromodel cache of the ``mor`` engine.
-
-        The provider contract: ``macromodel(key, builder, verify)`` returns
-        ``(model, reused)``, where ``reused`` says whether a cached model was
-        handed back.  ``key`` fingerprints the nominal block matrices, the
-        port structure and the reduction order
-        (:func:`repro.mor.macromodel.macromodel_key`); ``verify(model)``
-        guards every hit (the excitation-coverage check) -- a cached model
-        that fails it is rebuilt and replaced.  The cache survives
-        :meth:`with_variation` / :meth:`with_system` on purpose: corner
-        swaps keep the nominal matrices, and a corner that genuinely
-        changes them misses on the key.
-        """
-        cache = self._caches["macromodel"]
-        cached = cache.get(key)
-        if cached is not None and (verify is None or verify(cached)):
-            self._stats["macromodel"]["hits"] += 1
-            return cached, True
-        self._stats["macromodel"]["misses"] += 1
-        model = builder()
-        cache[key] = model
-        return model, False
-
     def nominal_transient(self, transient: Optional[TransientConfig] = None) -> TransientResult:
         """Deterministic (no-variation) transient, cached per time axis."""
         config = transient if transient is not None else self._transient
@@ -362,9 +338,9 @@ class Analysis:
         Parameters
         ----------
         engine:
-            Name of a registered engine (``"opera"``, ``"decoupled"``,
-            ``"montecarlo"``, ``"deterministic"``, ``"pce-regression"``,
-            ``"mor"``, or any name added with :func:`repro.api.register_engine`).
+            Name of a registered engine (``"opera"``, ``"montecarlo"``,
+            ``"deterministic"``, ``"pce-regression"``, or any name added
+            with :func:`repro.api.register_engine`).
         mode:
             ``"transient"`` or ``"dc"``; every engine picks its natural
             default when omitted.

@@ -198,15 +198,6 @@ class AugmentedRhsSeries:
         """Basis indices with a non-trivial excitation waveform."""
         return tuple(index for index, _ in self._waveforms)
 
-    @property
-    def waveforms(self) -> Tuple[Tuple[int, np.ndarray], ...]:
-        """The ``(basis index, (num_times, n) table)`` pairs, sorted by index.
-
-        Consumers (e.g. the macromodel reduction of :mod:`repro.mor`) must
-        treat the tables as read-only.
-        """
-        return self._waveforms
-
     def fill(self, step: int, out: np.ndarray) -> np.ndarray:
         """Write ``U~(times[step])`` into ``out`` (shape ``(P * n,)``).
 

@@ -8,7 +8,7 @@ Five sub-commands cover the typical flow of the tool:
 ``opera-run analyze``
     Run a stochastic analysis on a SPICE deck (or a freshly generated grid)
     and print the variation report.  ``--engine`` selects any registered
-    analysis engine (``opera``, ``decoupled``, ``montecarlo``, ...) and
+    analysis engine (``opera``, ``montecarlo``, ``deterministic``, ...) and
     ``--solver`` any registered linear-solver backend.
 
 ``opera-run compare``
@@ -150,14 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (montecarlo / pce-regression chunking)",
     )
     analyze.add_argument(
-        "--mor-order",
-        type=int,
-        default=None,
-        metavar="Q",
-        help="PRIMA reduction order for the mor engine (matched block "
-        "moments per macromodel; default: 2)",
-    )
-    analyze.add_argument(
         "--assemble",
         choices=("auto", "explicit", "lazy"),
         default=None,
@@ -235,13 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help=f"stepping scheme of every case (registered: {', '.join(scheme_names())})",
-    )
-    sweep.add_argument(
-        "--mor-order",
-        type=int,
-        default=None,
-        metavar="Q",
-        help="PRIMA reduction order for mor-engine cases (default: engine default)",
     )
     sweep.add_argument(
         "--store",
@@ -361,8 +346,6 @@ def _command_analyze(args: argparse.Namespace) -> int:
         options["samples"] = args.samples
     if args.workers is not None:
         options["workers"] = args.workers
-    if getattr(args, "mor_order", None) is not None:
-        options["mor_order"] = args.mor_order
     if getattr(args, "assemble", None) is not None:
         options["assemble"] = args.assemble
     if getattr(args, "scheme", None) is not None:
@@ -448,7 +431,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
         samples=args.samples,
         mc_workers=args.mc_workers if args.mc_workers is not None else args.workers,
         scheme=args.scheme,
-        mor_order=args.mor_order,
         transient=transient,
         base_seed=args.base_seed,
     )

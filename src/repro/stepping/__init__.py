@@ -1,9 +1,9 @@
 """The unified time-integration core.
 
 Every transient engine of the library -- the deterministic simulator, the
-coupled and decoupled OPERA paths, the reduced ``mor`` system and each
-Monte Carlo sample -- integrates ``C dx/dt + G x = u(t)`` with the
-same fixed-step machinery from this package:
+coupled and decoupled OPERA paths and each Monte Carlo sample -- integrates
+``C dx/dt + G x = u(t)`` with the same fixed-step machinery from this
+package:
 
 * :mod:`repro.stepping.schemes` -- the :class:`SteppingScheme` registry
   (``trapezoidal``, ``backward-euler``, the generalised ``theta`` method,

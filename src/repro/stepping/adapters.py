@@ -1,7 +1,6 @@
 """Concrete :class:`~repro.stepping.loop.SystemAdapter` implementations.
 
-Three adapters cover the library's transient engines (the ``mor`` engine
-brings its own, :class:`repro.mor.adapter.MorSystemAdapter`):
+Three adapters cover the library's transient engines:
 
 :class:`MnaSystemAdapter`
     The deterministic MNA system ``C dx/dt + G x = u(t)`` with explicit

@@ -2,8 +2,8 @@
 
 One :class:`StepLoop` drives every transient engine of the library -- the
 deterministic simulator, the coupled (augmented Galerkin) OPERA engine, the
-decoupled special case, the reduced ``mor`` system and each Monte Carlo
-sample.  The loop owns everything the per-engine copies used to duplicate:
+decoupled special case and each Monte Carlo sample.  The loop owns
+everything the per-engine copies used to duplicate:
 
 * the preallocated RHS work buffers (one assembly path for explicit CSR
   forms and matrix-free operators alike);

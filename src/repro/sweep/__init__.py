@@ -72,7 +72,6 @@ A benchmark artifact is a single JSON object::
           "samples": null,                   # MC sample count, or null
           "solver": null,                    # solver backend, or null
           "scheme": null,                    # stepping scheme, or null
-          "mor_order": null,                 # mor reduction order, or null
           "seed": 123456789,                 # the deterministic case seed
           "wall_time_s": 0.41,               # engine wall time, seconds
           "worst_drop_v": 0.132,             # max mean drop, volts
@@ -87,9 +86,10 @@ order, samples, corner)``, extended by ``solver`` and ``scheme`` when set;
 ``name`` is derived from the same fields.  Optional fields may be absent on
 read, and artifacts written by removed code paths still load: their
 ``partitions`` entries (the ``hierarchical`` engine), ``batched`` config
-flag and ``reused_factorization`` case entries (the batched scheduler) are
-ignored.  The ``schema`` string is bumped on any backwards-incompatible
-change, and readers reject artifacts with an unknown schema.
+flag and ``reused_factorization`` case entries (the batched scheduler) and
+``mor_order`` entries (the ``mor`` engine) are ignored.  The ``schema``
+string is bumped on any backwards-incompatible change, and readers reject
+artifacts with an unknown schema.
 """
 
 from .plan import (

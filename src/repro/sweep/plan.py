@@ -41,7 +41,7 @@ __all__ = [
 DEFAULT_SWEEP_TRANSIENT = TransientConfig(t_stop=2.4e-9, dt=0.2e-9)
 
 #: Engines whose options include a chaos expansion order.
-_CHAOS_ENGINES = ("opera", "decoupled", "pce-regression", "mor")
+_CHAOS_ENGINES = ("opera", "pce-regression")
 
 #: Engines that consume germ samples (and therefore chunked ``workers`` /
 #: ``chunk_size`` settings plus a sample count in their identity).
@@ -115,12 +115,6 @@ class SweepCase:
     joins the case identity the same append-only way, so a scheme ablation
     (e.g. ``trapezoidal`` vs ``backward-euler``) sweeps exactly this field
     and pre-existing case identities keep their seeds.
-
-    ``mor_order`` applies to the ``mor`` engine only: the PRIMA reduction
-    order ``q`` of every block macromodel.  Like the other optional fields
-    it joins the case identity append-only (only when set), so pre-existing
-    case identities -- and therefore their derived seeds -- are untouched
-    by the field's introduction.
     """
 
     engine: str
@@ -135,7 +129,6 @@ class SweepCase:
     chunk_size: int = DEFAULT_CHUNK_SIZE
     solver: Optional[str] = None
     scheme: Optional[str] = None
-    mor_order: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -145,14 +138,6 @@ class SweepCase:
             raise AnalysisError(f"workers must be at least 1, got {self.workers}")
         if self.solver is not None and not str(self.solver).strip():
             raise AnalysisError("solver must be a non-empty backend name or None")
-        if self.mor_order is not None:
-            if self.engine != "mor":
-                raise AnalysisError(
-                    "mor_order only applies to the 'mor' engine; "
-                    f"got engine {self.engine!r}"
-                )
-            if self.mor_order < 1:
-                raise AnalysisError(f"mor_order must be at least 1, got {self.mor_order}")
         if self.scheme is not None:
             from ..stepping import resolve_scheme
 
@@ -184,15 +169,13 @@ class SweepCase:
             parts.append(self.solver)
         if self.scheme is not None:
             parts.append(self.scheme)
-        if self.mor_order is not None:
-            parts.append(f"r{self.mor_order}")
         parts.append(self.corner)
         return "-".join(parts)
 
     def key(self) -> Tuple:
         """Identity used to match cases across sweeps (excludes seeds).
 
-        Optional fields (``solver``, ``scheme``, ``mor_order``) are appended
+        Optional fields (``solver``, ``scheme``) are appended
         *only when set*, so the identities (and hence the derived seeds) of
         cases without them predate and survive the fields' introduction.
         """
@@ -201,8 +184,6 @@ class SweepCase:
             identity = identity + (self.solver,)
         if self.scheme is not None:
             identity = identity + (self.scheme,)
-        if self.mor_order is not None:
-            identity = identity + (self.mor_order,)
         return identity
 
     def seed_identity(self) -> Tuple:
@@ -257,8 +238,6 @@ class SweepCase:
             options["solver"] = str(self.solver)
         if self.scheme is not None:
             options["scheme"] = str(self.scheme)
-        if self.mor_order is not None:
-            options["mor_order"] = int(self.mor_order)
         if self.engine == "montecarlo":
             options["samples"] = int(self.samples or 200)
             options["seed"] = int(self.seed)
@@ -339,13 +318,12 @@ class SweepPlan:
         mc_workers: int = 1,
         mc_chunk_size: int = DEFAULT_CHUNK_SIZE,
         scheme: Optional[str] = None,
-        mor_order: Optional[int] = None,
         transient: Optional[TransientConfig] = None,
         base_seed: int = 0,
     ) -> "SweepPlan":
         """The cartesian product ``node_counts x engines x orders x corners``.
 
-        Chaos engines (``opera``, ``decoupled``) get one case per expansion
+        Chaos engines (``opera``, ``pce-regression``) get one case per expansion
         order; sampling and deterministic engines get a single case per grid
         and corner.  Every case receives a deterministic seed derived from
         ``base_seed`` and its identity, and every grid a generator seed
@@ -362,9 +340,6 @@ class SweepPlan:
         ``scheme`` overrides the stepping scheme of every case (``None``
         keeps the plan transient's method); set it on individual hand-built
         cases for scheme ablations instead.
-
-        ``mor_order`` sets the macromodel reduction order of every ``mor``
-        case (``None`` keeps the engine default); other engines ignore it.
         """
         if not node_counts:
             raise AnalysisError("grid plans need at least one node count")
@@ -380,11 +355,6 @@ class SweepPlan:
                     engine_orders = orders if engine in _CHAOS_ENGINES else (None,)
                     for order in engine_orders:
                         engine_samples = samples if engine in _SAMPLED_ENGINES else None
-                        case_mor_order = (
-                            int(mor_order)
-                            if engine == "mor" and mor_order is not None
-                            else None
-                        )
                         case = SweepCase(
                             engine=engine,
                             nodes=int(nodes),
@@ -396,7 +366,6 @@ class SweepPlan:
                             workers=int(mc_workers) if engine in _SAMPLED_ENGINES else 1,
                             chunk_size=int(mc_chunk_size),
                             scheme=None if scheme is None else str(scheme),
-                            mor_order=case_mor_order,
                         )
                         cases.append(case.with_derived_seed(base_seed))
         return cls(

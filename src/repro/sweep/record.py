@@ -96,7 +96,8 @@ class BenchRecord:
         Like :meth:`~repro.sweep.plan.SweepCase.key`, ``solver`` and
         ``scheme`` extend the identity only when set; ``.get`` keeps
         artifacts written before those fields readable.  Legacy
-        ``partitions`` and ``reused_factorization`` entries are ignored.
+        ``partitions``, ``reused_factorization`` and ``mor_order`` entries
+        are ignored.
         """
         mapping: Dict[Tuple, Dict] = {}
         for case in self.cases:

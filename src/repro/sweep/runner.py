@@ -70,7 +70,6 @@ class SweepCaseResult:
     vdd: float = 1.0
     solver: Optional[str] = None
     scheme: Optional[str] = None
-    mor_order: Optional[int] = None
     telemetry: Optional[Dict] = field(default=None, repr=False)
     times: Optional[np.ndarray] = field(default=None, repr=False)
     mean: Optional[np.ndarray] = field(default=None, repr=False)
@@ -89,8 +88,6 @@ class SweepCaseResult:
             identity = identity + (self.solver,)
         if self.scheme is not None:
             identity = identity + (self.scheme,)
-        if self.mor_order is not None:
-            identity = identity + (self.mor_order,)
         return identity
 
     @property
@@ -127,7 +124,6 @@ class SweepCaseResult:
             "samples": None if self.samples is None else int(self.samples),
             "solver": None if self.solver is None else str(self.solver),
             "scheme": None if self.scheme is None else str(self.scheme),
-            "mor_order": None if self.mor_order is None else int(self.mor_order),
             "seed": int(self.seed),
             "wall_time_s": float(self.wall_time),
             "worst_drop_v": float(self.worst_drop),
@@ -199,13 +195,6 @@ class _SessionCache:
                     variation=corner_spec(case.corner),
                     transient=transient,
                 )
-                # Corner siblings share one macromodel cache (the same dict
-                # object): the mor engine's reduction bases depend only on
-                # the nominal block matrices and port structure, which are
-                # corner-invariant, so one topology reduces each block once
-                # per sweep -- the macromodel counterpart of the
-                # factorization reuse across corners.
-                session._caches["macromodel"] = sibling._caches["macromodel"]
             # Every corner session and every run on this grid asks for the
             # same fixed time grid; memoise the drain-current sums (the
             # cached values are identical to uncached evaluation).
@@ -248,7 +237,6 @@ def _execute_case(args) -> SweepCaseResult:
         samples=case.samples,
         solver=case.solver,
         scheme=case.scheme,
-        mor_order=case.mor_order,
         telemetry=telemetry,
         seed=case.seed,
         name=case.name,

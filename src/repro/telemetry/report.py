@@ -14,9 +14,7 @@ from typing import Dict, List
 __all__ = ["phase_summary", "solver_summary", "render_report"]
 
 #: Canonical display order of the phases; unknown phases sort after these.
-#: ``reduce`` / ``project`` are the mor engine's macromodel phases (PRIMA
-#: block reduction and per-corner congruence projection).
-_PHASE_ORDER = ("run", "assemble", "reduce", "project", "factor", "step", "fit", "other")
+_PHASE_ORDER = ("run", "assemble", "factor", "step", "fit", "other")
 
 
 def _phase_rank(phase: str) -> tuple:

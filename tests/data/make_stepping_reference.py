@@ -5,7 +5,9 @@ The archive pins the mean/std waveforms the stochastic engines produced
 methods.  ``tests/test_stepping.py`` asserts that the rewired engines
 still reproduce these numbers to <= 1e-12, which is the refactor's
 no-behaviour-change contract.  The committed archive also holds arrays of
-the since-removed ``hierarchical`` engine; nothing reads them.
+the since-removed ``hierarchical`` engine; nothing reads them.  The
+``decoupled/*`` arrays were written by the since-removed ``decoupled``
+engine alias and are now reproduced by ``opera`` on the RHS-only session.
 
 Regenerate (only after an *intentional* numerical change) with::
 
@@ -60,7 +62,8 @@ def main() -> None:
                 chunk_size=MC_CHUNK,
                 method=method,
             ),
-            "decoupled": rhs_only.run("decoupled", order=ORDER, method=method),
+            # RHS-only variation: opera takes the decoupled special case.
+            "decoupled": rhs_only.run("opera", order=ORDER, method=method),
         }
         for engine, view in runs.items():
             arrays[f"{engine}/{method}/mean"] = np.asarray(view.mean(), dtype=float)

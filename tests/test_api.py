@@ -46,7 +46,7 @@ def session(small_netlist):
 @pytest.fixture(scope="module")
 def rhs_only_session(small_netlist):
     """A session whose variation touches only the excitation (current germs),
-    so the ``decoupled`` engine applies."""
+    so ``opera`` takes the decoupled special case."""
     s = Analysis.from_netlist(
         small_netlist,
         variation=VariationSpec(vary_conductance=False, vary_capacitance=False),
@@ -109,16 +109,16 @@ class TestConstruction:
 class TestEngines:
     def test_builtin_engine_names(self):
         names = engine_names()
-        for expected in ("opera", "decoupled", "montecarlo", "deterministic"):
+        for expected in ("opera", "montecarlo", "deterministic", "pce-regression"):
             assert expected in names
-        assert "randomwalk" not in names
+        for removed in ("randomwalk", "decoupled", "mor"):
+            assert removed not in names
 
-    def test_all_five_engines_on_one_session(self, rhs_only_session):
-        """Acceptance: the facade runs five registered engines on the same
+    def test_every_engine_on_one_session(self, rhs_only_session):
+        """Acceptance: the facade runs every built-in engine on the same
         session object, each returning a protocol-conformant result."""
         results = {
             "opera": rhs_only_session.run("opera", order=2),
-            "decoupled": rhs_only_session.run("decoupled", order=2),
             "montecarlo": rhs_only_session.run("montecarlo", samples=8, seed=1),
             "deterministic": rhs_only_session.run("deterministic"),
             "pce-regression": rhs_only_session.run("pce-regression", order=1, samples=20),
@@ -134,16 +134,6 @@ class TestEngines:
             summary = result.to_dict()
             assert summary["engine"] == name
             assert "worst_drop" in summary
-
-    def test_opera_matches_decoupled_on_rhs_only_system(self, rhs_only_session):
-        opera = rhs_only_session.run("opera", order=2)
-        decoupled = rhs_only_session.run("decoupled", order=2)
-        np.testing.assert_allclose(opera.mean(), decoupled.mean(), atol=1e-12)
-        np.testing.assert_allclose(opera.std(), decoupled.std(), atol=1e-12)
-
-    def test_decoupled_rejects_matrix_variation(self, session):
-        with pytest.raises(AnalysisError):
-            session.run("decoupled", order=2)
 
     def test_opera_dc_mode(self, session):
         result = session.run("opera", mode="dc", order=2)
@@ -162,7 +152,7 @@ class TestEngines:
     def test_unknown_engine_lists_choices(self, session):
         listing = "registered engines: " + ", ".join(engine_names())
         # Typos and engines that no longer exist fail the same way.
-        for name in ("bogus", "hierarchical", "randomwalk"):
+        for name in ("bogus", "hierarchical", "randomwalk", "decoupled", "mor"):
             with pytest.raises(AnalysisError, match="registered engines") as info:
                 session.run(name)
             assert listing in str(info.value)
@@ -439,7 +429,7 @@ class TestCLIEngineFlags:
         assert "worst_drop" in out
 
     def test_analyze_unknown_engine_fails_with_listing(self, capsys):
-        for name in ("bogus", "hierarchical", "randomwalk"):
+        for name in ("bogus", "hierarchical", "randomwalk", "decoupled", "mor"):
             code = cli_main(["analyze", *self.COMMON, "--engine", name])
             assert code == 2
             err = capsys.readouterr().err
@@ -509,7 +499,6 @@ class TestTelemetryStepStats:
 
     ENGINE_OPTIONS = {
         "opera": {"order": 1},
-        "decoupled": {"order": 1},
         "montecarlo": {"samples": 4, "seed": 1, "workers": 1},
         "deterministic": {},
         "pce-regression": {"order": 1, "samples": 12, "seed": 1},

@@ -156,3 +156,36 @@ class TestConjugateGradientStats:
         with pytest.raises(SolverError):
             ConjugateGradientSolver(laplacian_spd(10), preconditioner=3.14)
 
+
+class TestPatternCacheExposure:
+    def test_counters_report_cache_occupancy(self):
+        from repro.sim.linear import clear_pattern_cache, factorization_counters
+
+        clear_pattern_cache()
+        before = factorization_counters()
+        assert before["pattern_cache_entries"] == 0
+        assert before["pattern_cache_limit"] >= 1
+        make_solver(sp.identity(8, format="csr") * 2.0)
+        assert factorization_counters()["pattern_cache_entries"] == 1
+
+    def test_limit_setter_evicts_and_restores(self):
+        from repro.sim.linear import (
+            clear_pattern_cache,
+            factorization_counters,
+            set_pattern_cache_limit,
+        )
+
+        clear_pattern_cache()
+        for size in (5, 6, 7):
+            make_solver(sp.identity(size, format="csr") * 3.0)
+        assert factorization_counters()["pattern_cache_entries"] == 3
+        previous = set_pattern_cache_limit(2)
+        try:
+            counters = factorization_counters()
+            assert counters["pattern_cache_entries"] == 2
+            assert counters["pattern_cache_limit"] == 2
+            with pytest.raises(SolverError):
+                set_pattern_cache_limit(0)
+        finally:
+            set_pattern_cache_limit(previous)
+        assert factorization_counters()["pattern_cache_limit"] == previous

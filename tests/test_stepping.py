@@ -261,26 +261,28 @@ class TestPreRefactorEquivalence:
     The archive was generated by the *old* per-engine loops (see
     ``tests/data/make_stepping_reference.py``); <= 1e-12 on mean and std is
     the refactor's acceptance contract for every engine and both historical
-    methods.
+    methods.  The ``decoupled/*`` arrays were written by the since-removed
+    ``decoupled`` engine alias; ``opera`` on the RHS-only session takes the
+    same decoupled special case and must still reproduce them.
     """
 
     @pytest.mark.parametrize("method", ["trapezoidal", "backward-euler"])
-    @pytest.mark.parametrize("engine", ["opera", "montecarlo", "decoupled"])
+    @pytest.mark.parametrize("archive_key", ["opera", "montecarlo", "decoupled"])
     def test_engine_matches_frozen_reference(
-        self, reference_archive, reference_sessions, engine, method
+        self, reference_archive, reference_sessions, archive_key, method
     ):
         paper, rhs_only = reference_sessions
-        if engine == "decoupled":
-            view = rhs_only.run("decoupled", order=REF_ORDER, method=method)
-        elif engine == "montecarlo":
+        if archive_key == "decoupled":
+            view = rhs_only.run("opera", order=REF_ORDER, method=method)
+        elif archive_key == "montecarlo":
             view = paper.run("montecarlo", method=method, **REF_MC)
         else:
-            view = paper.run(engine, order=REF_ORDER, method=method)
+            view = paper.run("opera", order=REF_ORDER, method=method)
         np.testing.assert_allclose(
-            view.mean(), reference_archive[f"{engine}/{method}/mean"], rtol=0.0, atol=1e-12
+            view.mean(), reference_archive[f"{archive_key}/{method}/mean"], rtol=0.0, atol=1e-12
         )
         np.testing.assert_allclose(
-            view.std(), reference_archive[f"{engine}/{method}/std"], rtol=0.0, atol=1e-12
+            view.std(), reference_archive[f"{archive_key}/{method}/std"], rtol=0.0, atol=1e-12
         )
 
 
@@ -291,7 +293,8 @@ class TestCrossEngineEquivalence:
     @pytest.mark.parametrize("scheme", ["backward-euler", "trapezoidal", "theta:0.7"])
     def test_decoupled_vs_forced_coupled(self, reference_sessions, scheme):
         _, rhs_only = reference_sessions
-        decoupled = rhs_only.run("decoupled", order=REF_ORDER, scheme=scheme)
+        # RHS-only variation: opera routes itself to the decoupled special case.
+        decoupled = rhs_only.run("opera", order=REF_ORDER, scheme=scheme)
         coupled = rhs_only.run(
             "opera", order=REF_ORDER, scheme=scheme, force_coupled=True
         )

@@ -50,7 +50,10 @@ FAST_TRANSIENT = TransientConfig(t_stop=1.2e-9, dt=0.2e-9)
 #: come from the batched sweep scheduler: the record's config carries
 #: ``"batched": true``, its stacked cases carry ``reused_factorization`` and
 #: one case ran the ``degree-block-cg`` solver; the store holds the two
-#: stacked cases.
+#: stacked cases.  ``mor_record.json`` / ``mor_store/`` hold one ``opera``
+#: case and one case of the since-removed ``mor`` engine with
+#: ``mor_order=2``; ``mor_smoke_baseline.json`` is the smoke baseline as it
+#: stood before its two ``mor`` cases were dropped.
 LEGACY = Path(__file__).parent / "data" / "legacy_sweep"
 
 
@@ -193,6 +196,11 @@ class TestSweepPlan:
 
     def test_chaos_run_options(self):
         assert SweepCase(engine="opera", nodes=60, order=3).run_options() == {"order": 3}
+
+    def test_preexisting_seed_identities_unchanged(self):
+        # Optional fields must not move seeds of cases without them.
+        case = SweepCase(engine="opera", nodes=100, order=2)
+        assert case.seed_identity() == ("opera", 100, 2, None, "paper")
 
 
 class TestSweepRunner:
@@ -420,6 +428,25 @@ class TestBenchRecord:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(AnalysisError, match="does not exist"):
             BenchRecord.load(tmp_path / "absent.json")
+
+    def test_old_records_without_partitions_still_match(self):
+        legacy_case = {
+            "name": "opera-n100-o2-paper",
+            "engine": "opera",
+            "nodes": 100,
+            "num_nodes": 104,
+            "corner": "paper",
+            "order": 2,
+            "samples": None,
+            "seed": 1,
+            "wall_time_s": 0.1,
+            "worst_drop_v": 0.05,
+            "max_std_v": 0.01,
+            "speedup_vs_mc": None,
+        }
+        record = BenchRecord(cases=(legacy_case,))
+        (key,) = record.case_map().keys()
+        assert key == ("opera", 100, 2, None, "paper")
 
 
 def _stable_cases(record: BenchRecord) -> list:
@@ -673,14 +700,12 @@ class TestLegacyArtifacts:
 
     @staticmethod
     def _batched_plan():
-        """The batched artifacts' plan without its ``degree-block-cg`` case."""
-        cases = tuple(
-            SweepCase(
-                engine, 100, grid_seed=grid_seed_for(100), corner="rhs-only", order=1
-            ).with_derived_seed(0)
-            for engine in ("opera", "decoupled")
-        )
-        return SweepPlan(cases, transient=TransientConfig(t_stop=4 * 0.2e-9, dt=0.2e-9))
+        """The batched artifacts' plan without its ``decoupled`` and
+        ``degree-block-cg`` cases."""
+        case = SweepCase(
+            "opera", 100, grid_seed=grid_seed_for(100), corner="rhs-only", order=1
+        ).with_derived_seed(0)
+        return SweepPlan((case,), transient=TransientConfig(t_stop=4 * 0.2e-9, dt=0.2e-9))
 
     def test_batched_store_key_unchanged(self):
         opera = self._batched_plan().cases[0]
@@ -703,8 +728,8 @@ class TestLegacyArtifacts:
         shutil.copytree(LEGACY / "batched_store", tmp_path / "store")
         store = ShardedNpzBackend(tmp_path / "store")
         outcome = SweepRunner(keep_statistics=True).resume(self._batched_plan(), store)
-        assert (outcome.executed, outcome.reused) == (0, 2)
-        assert tuple(result.name for result in outcome) == self.BATCHED_NAMES
+        assert (outcome.executed, outcome.reused) == (0, 1)
+        assert tuple(result.name for result in outcome) == self.BATCHED_NAMES[:1]
         # The stored reused_factorization flags are ignored on load.
         assert all(result.has_statistics for result in outcome)
         assert "cases_reusing_factorization" not in outcome.aggregates()["overall"]
@@ -712,9 +737,66 @@ class TestLegacyArtifacts:
         report = compare_records(
             BenchRecord.load(LEGACY / "batched_record.json"), record_from_outcome(outcome)
         )
-        assert tuple(delta.name for delta in report.deltas) == self.BATCHED_NAMES
+        assert tuple(delta.name for delta in report.deltas) == self.BATCHED_NAMES[:1]
         assert not report.regressions
-        assert report.missing == ("opera-n100-o1-degree-block-cg-paper",)
+        assert report.missing == (
+            "decoupled-n100-o1-rhs-only",
+            "opera-n100-o1-degree-block-cg-paper",
+        )
+
+    MOR_NAMES = ("opera-n100-o1-paper", "mor-n100-o1-r2-paper")
+
+    @staticmethod
+    def _mor_plan():
+        """The mor artifacts' plan without its ``mor`` case."""
+        return SweepPlan.grid(
+            [100],
+            engines=("opera",),
+            orders=(1,),
+            transient=TransientConfig(t_stop=4 * 0.2e-9, dt=0.2e-9),
+            base_seed=0,
+        )
+
+    def test_mor_store_key_unchanged(self):
+        (opera,) = self._mor_plan().cases
+        assert opera.store_key() == "opera|100|1|None|paper|grid=9740|seed=1810238154"
+
+    def test_mor_record_loads_and_compares(self):
+        record = BenchRecord.load(LEGACY / "mor_record.json")
+        assert [case["engine"] for case in record.cases] == ["opera", "mor"]
+        assert all("mor_order" in case for case in record.cases)
+        report = compare_records(record, record)
+        assert report.ok
+        assert {delta.name for delta in report.deltas} == set(self.MOR_NAMES)
+
+    def test_mor_store_resumes_every_kept_case(self, tmp_path):
+        shutil.copytree(LEGACY / "mor_store", tmp_path / "store")
+        store = ShardedNpzBackend(tmp_path / "store")
+        outcome = SweepRunner(keep_statistics=True).resume(self._mor_plan(), store)
+        assert (outcome.executed, outcome.reused) == (0, 1)
+        assert tuple(result.name for result in outcome) == self.MOR_NAMES[:1]
+        # The mor entry still loads, with its mor_order ignored.
+        engines = sorted(result.engine for result in store.iter_results())
+        assert engines == ["mor", "opera"]
+
+        report = compare_records(
+            BenchRecord.load(LEGACY / "mor_record.json"), record_from_outcome(outcome)
+        )
+        assert tuple(delta.name for delta in report.deltas) == self.MOR_NAMES[:1]
+        assert not report.regressions
+        assert report.missing == ("mor-n100-o1-r2-paper",)
+
+    def test_smoke_baseline_differs_only_by_its_mor_cases(self):
+        old = BenchRecord.load(LEGACY / "mor_smoke_baseline.json")
+        assert [case["mor_order"] for case in old.cases if case["engine"] == "mor"] == [2, 2]
+        current = BenchRecord.load(
+            Path(__file__).parents[1] / "benchmarks" / "results" / "smoke_baseline.json"
+        )
+        assert current.config == old.config
+        assert list(current.cases) == [case for case in old.cases if case["engine"] != "mor"]
+        report = compare_records(old, current)
+        assert not report.regressions
+        assert report.missing == ("mor-n120-o2-r2-paper", "mor-n250-o2-r2-paper")
 
 
 def _record_with_wall_times(small_outcome, scale: float) -> BenchRecord:
@@ -883,6 +965,14 @@ class TestSweepCli:
         err = capsys.readouterr().err
         assert "usage:" in err
         assert "unrecognized arguments: --batch" in err
+
+    def test_sweep_rejects_removed_mor_order_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["sweep", "--nodes", "60", "--samples", "8", "--mor-order", "2"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "unrecognized arguments: --mor-order 2" in err
 
     def test_sweep_rejects_unknown_corner(self, capsys):
         assert (cli_main(["sweep", "--nodes", "60", "--samples", "8", "--corners", "bogus"]) == 2)
