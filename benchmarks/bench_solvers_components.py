@@ -59,15 +59,17 @@ def test_augmented_solve_by_method(benchmark, component_grid, results_dir, metho
     """Factorise/precondition + one solve of the augmented conductance system.
 
     Parametrised over the solver registry, so backends added with
-    ``register_solver`` are picked up automatically.
+    ``register_solver`` are picked up automatically; each gets the form of
+    ``G~`` it consumes.
     """
     _, _, _, system = component_grid
     basis = build_basis(system, order=2)
     galerkin = build_galerkin_system(system, basis)
+    conductance = galerkin.for_solver("conductance", method)
     rhs = galerkin.rhs(0.0)
 
     def factor_and_solve():
-        solver = make_solver(galerkin.conductance, method=method)
+        solver = make_solver(conductance, method=method)
         return solver.solve(rhs)
 
     solution = benchmark(factor_and_solve)

@@ -33,7 +33,11 @@ print(f"fit: {summary['num_samples']} samples "
 # --- 2. a sparse fit below the determined sample budget -------------------
 basis = regression.raw.basis
 sparse = session.run(
-    "pce-regression", order=2, samples=basis.size - 1, seed=3, fit="lasso",
+    "pce-regression",
+    order=2,
+    samples=basis.size - 1,
+    seed=3,
+    fit="lasso",
     fit_options={"debias": True},
 )
 sparse_error = np.max(np.abs(sparse.mean() - opera.mean()))

@@ -166,25 +166,23 @@ def _run_opera_engine(session, mode: Optional[str] = None, **options):
     _check_mode("opera", mode, ("transient", "dc"))
     order = int(options.pop("order", 2))
     solver = options.pop("solver", None)
-    assemble = str(options.pop("assemble", "auto"))
     solver_options = options.pop("solver_options", None)
     stats_before = session.solver_stats()
     system = session.system
-    basis = session.basis(order)
 
     if mode == "dc":
         t = float(options.pop("t", 0.0))
         _reject_unknown(options, "opera", mode)
         started = time.perf_counter()
+        with current_telemetry().span("opera.assemble", phase="assemble", order=order):
+            galerkin = session.galerkin(order)
         field = run_opera_dc(
             system,
-            order=order,
             t=t,
             solver=solver or "direct",
-            basis=basis,
             solver_factory=session.solver,
-            assemble=assemble,
             solver_options=solver_options,
+            galerkin=galerkin,
         )
         elapsed = time.perf_counter() - started
         view = StochasticResultView("opera", "dc", field, system.vdd, wall_time=elapsed)
@@ -196,7 +194,6 @@ def _run_opera_engine(session, mode: Optional[str] = None, **options):
         transient=transient,
         order=order,
         solver=solver,
-        assemble=assemble,
         solver_options=solver_options,
         store_coefficients=bool(options.pop("store_coefficients", True)),
         force_coupled=bool(options.pop("force_coupled", False)),
@@ -207,7 +204,11 @@ def _run_opera_engine(session, mode: Optional[str] = None, **options):
         with current_telemetry().span("opera.assemble", phase="assemble", order=order):
             galerkin = session.galerkin(order)
     result = run_opera_transient(
-        system, config, basis=basis, solver_factory=session.solver, galerkin=galerkin
+        system,
+        config,
+        basis=session.basis(order),
+        solver_factory=session.solver,
+        galerkin=galerkin,
     )
     view = StochasticResultView("opera", "transient", result, system.vdd)
     view.transient = transient

@@ -258,11 +258,13 @@ class Analysis:
     def galerkin(self, order: int) -> GalerkinSystem:
         """The augmented (Galerkin) system for ``order`` (cached).
 
-        The cached system is built in lazy (matrix-free operator) mode, so
+        Both modes of the ``opera`` engine share it.  The system holds lazy
+        (matrix-free) operators and each run takes the form its solver
+        consumes (:meth:`~repro.chaos.galerkin.GalerkinSystem.for_solver`):
         an operator-aware run (``solver="mean-block-cg"``) never assembles
         the explicit Kronecker sum; a direct-solver run materialises the
-        CSR matrices on first access, and both representations then stay
-        cached on the same object for every later run.
+        CSR matrices on first access, and both forms then stay cached on
+        the same object for every later run.
         """
         from ..opera.engine import build_galerkin_system
 
@@ -270,7 +272,7 @@ class Analysis:
         cache = self._caches["galerkin"]
         if key not in cache:
             self._stats["galerkin"]["misses"] += 1
-            cache[key] = build_galerkin_system(self.system, self.basis(order), assemble="lazy")
+            cache[key] = build_galerkin_system(self.system, self.basis(order))
         else:
             self._stats["galerkin"]["hits"] += 1
         return cache[key]

@@ -16,18 +16,14 @@ for a parameter expansion ``G(xi) = sum_m G_m psi_m(xi)`` (and likewise for
 coefficient of ``U`` because the basis is orthonormal.
 
 The augmented matrices are sums of Kronecker products ``sum_m T_m (x) A_m``.
-Two representations are available:
-
-* ``assemble="explicit"`` materialises the CSR sum (one linear-time COO
-  concatenation), preserving the sparsity of the grid matrices exactly --
-  the input direct factorisations need;
-* ``assemble="lazy"`` keeps the tensor structure as a
-  :class:`~repro.linalg.KronSumOperator`, whose application costs a handful
-  of small sparse-dense products instead of a ``P n``-sized matvec -- the
-  representation the matrix-free ``mean-block-cg`` transient path runs on.
-
-Either way the other representation stays reachable (``.conductance`` /
-``.conductance_operator``) and is built once on first use.
+:class:`GalerkinSystem` keeps them as lazy
+:class:`~repro.linalg.KronSumOperator` objects, whose application costs a
+handful of small sparse-dense products instead of a ``P n``-sized matvec --
+the form the matrix-free ``mean-block-cg`` path runs on.  The explicit CSR
+sum (one linear-time COO concatenation, preserving the sparsity of the grid
+matrices exactly), which direct factorisations need, is materialised from
+the operator on first use.  :meth:`GalerkinSystem.for_solver` picks the form
+a solver backend consumes.
 """
 
 from __future__ import annotations
@@ -39,6 +35,7 @@ import scipy.sparse as sp
 
 from ..errors import AnalysisError, BasisError
 from ..linalg.operator import KronSumOperator, kron_sum_csr
+from ..sim.linear import solver_accepts_operator
 from .basis import PolynomialChaosBasis
 from .triples import triple_product_tensors
 
@@ -235,12 +232,10 @@ class GalerkinSystem:
         Callable returning the excitation's chaos coefficients at a time.
     num_nodes:
         Number of grid nodes (the block size).
-    assemble:
-        ``"explicit"`` (default) materialises the augmented CSR matrices
-        eagerly; ``"lazy"`` builds matrix-free
-        :class:`~repro.linalg.KronSumOperator` representations instead.
-        Both representations remain reachable either way -- the one not
-        chosen is built (and cached) on first property access.
+
+    The augmented matrices are built as lazy
+    :class:`~repro.linalg.KronSumOperator` objects; their explicit CSR form
+    is materialised (and cached) on first access.
 
     Attributes
     ----------
@@ -250,8 +245,6 @@ class GalerkinSystem:
         The same matrices as lazy Kronecker-sum operators.
     """
 
-    _MODES = ("explicit", "lazy")
-
     def __init__(
         self,
         basis: PolynomialChaosBasis,
@@ -259,58 +252,40 @@ class GalerkinSystem:
         capacitance_coefficients: Mapping[int, sp.spmatrix],
         excitation_coefficients: Callable[[float], Mapping[int, np.ndarray]],
         num_nodes: int,
-        assemble: str = "explicit",
     ):
-        if assemble not in self._MODES:
-            raise AnalysisError(
-                f"assemble must be one of {', '.join(map(repr, self._MODES))}; "
-                f"got {assemble!r}"
-            )
         self.basis = basis
         self.num_nodes = int(num_nodes)
-        self.assemble = assemble
         self._conductance_coefficients = _checked_coefficients(conductance_coefficients)
         self._capacitance_coefficients = _checked_coefficients(capacitance_coefficients)
         self._excitation_coefficients = excitation_coefficients
         self._matrices: Dict[str, sp.csr_matrix] = {}
-        self._operators: Dict[str, KronSumOperator] = {}
-        if assemble == "explicit":
-            self._matrices["conductance"] = assemble_augmented_matrix(
-                basis, conductance_coefficients
-            )
-            self._matrices["capacitance"] = assemble_augmented_matrix(
-                basis, capacitance_coefficients
-            )
-        else:
-            self._operators["conductance"] = assemble_augmented_operator(
-                basis, conductance_coefficients
-            )
-            self._operators["capacitance"] = assemble_augmented_operator(
-                basis, capacitance_coefficients
-            )
+        self._operators: Dict[str, KronSumOperator] = {
+            "conductance": assemble_augmented_operator(basis, conductance_coefficients),
+            "capacitance": assemble_augmented_operator(basis, capacitance_coefficients),
+        }
 
     # ------------------------------------------------------- representations
     def _matrix(self, which: str) -> sp.csr_matrix:
         matrix = self._matrices.get(which)
         if matrix is None:
-            operator = self._operators.get(which)
-            matrix = operator.to_csr() if operator is not None else None
-            if matrix is None:  # pragma: no cover - defensive
-                raise AnalysisError(f"no representation of the {which} matrix")
+            matrix = self._operator(which).to_csr()
             self._matrices[which] = matrix
         return matrix
 
     def _operator(self, which: str) -> KronSumOperator:
-        operator = self._operators.get(which)
-        if operator is None:
-            coefficients = (
-                self._conductance_coefficients
-                if which == "conductance"
-                else self._capacitance_coefficients
-            )
-            operator = assemble_augmented_operator(self.basis, coefficients)
-            self._operators[which] = operator
-        return operator
+        return self._operators[which]
+
+    def for_solver(self, which: str, solver: str):
+        """``G~`` (``which="conductance"``) or ``C~`` in the form ``solver`` consumes.
+
+        The lazy operator when the registered backend declares
+        ``accepts_operator`` (``mean-block-cg``, ``cg``), the explicit CSR
+        matrix otherwise (``direct``), so an operator-aware run never
+        materialises the Kronecker sum.
+        """
+        if solver_accepts_operator(solver):
+            return self._operator(which)
+        return self._matrix(which)
 
     @property
     def conductance_coefficients(self) -> Mapping[int, sp.spmatrix]:

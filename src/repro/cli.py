@@ -150,14 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (montecarlo / pce-regression chunking)",
     )
     analyze.add_argument(
-        "--assemble",
-        choices=("auto", "explicit", "lazy"),
-        default=None,
-        help="Galerkin assembly mode for the opera engine: explicit CSR, "
-        "lazy (matrix-free Kronecker-sum operators), or auto (lazy exactly "
-        "when the solver backend consumes operators, e.g. mean-block-cg)",
-    )
-    analyze.add_argument(
         "--scheme",
         default=None,
         metavar="NAME",
@@ -346,8 +338,6 @@ def _command_analyze(args: argparse.Namespace) -> int:
         options["samples"] = args.samples
     if args.workers is not None:
         options["workers"] = args.workers
-    if getattr(args, "assemble", None) is not None:
-        options["assemble"] = args.assemble
     if getattr(args, "scheme", None) is not None:
         options["scheme"] = args.scheme
     if getattr(args, "fit", None) is not None:

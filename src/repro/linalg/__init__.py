@@ -13,8 +13,8 @@ sparse grid matrices ``A_m``).  This package keeps that structure *lazy*:
   ``n x n`` nominal (mean) block applied to all ``P`` chaos blocks in a
   single 2-D solve (the ``I_P (x) M0^{-1}`` structure);
 * :func:`kron_sum_csr` -- linear-time explicit assembly (single COO
-  concatenation) shared by the operator's ``to_csr`` and the eager
-  assembly path of :mod:`repro.chaos.galerkin`.
+  concatenation) shared by the operator's ``to_csr`` and
+  :func:`repro.chaos.galerkin.assemble_augmented_matrix`.
 
 Importing this package registers the ``mean-block-cg`` backend with the
 solver registry; :mod:`repro.api` imports it, so the backend is available

@@ -18,10 +18,7 @@ grid fill instead of the factorisation fill of the explicit Kronecker sum.
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..errors import SolverError
@@ -39,15 +36,10 @@ class MeanBlockCGSolver(PreconditionedCGSolver):
     Parameters
     ----------
     operator:
-        A :class:`~repro.linalg.operator.KronSumOperator` (the natural
-        input), or an explicit sparse matrix together with ``num_nodes``
-        so the ``n x n`` mean block can be sliced out of the top-left
-        corner.
-    num_nodes:
-        Block size ``n``; required only for explicit-matrix input.
-    mean_block:
-        Optional override of the preconditioner matrix ``M0`` (defaults to
-        the operator's :meth:`~repro.linalg.operator.KronSumOperator.mean_block`).
+        A :class:`~repro.linalg.operator.KronSumOperator`; its
+        :meth:`~repro.linalg.operator.KronSumOperator.mean_block` is the
+        preconditioner matrix ``M0``.  An explicit matrix carries no block
+        structure and is rejected.
     rtol, maxiter:
         CG convergence tolerance and iteration cap; non-convergence raises
         :class:`~repro.errors.ConvergenceError`.  The default is tight
@@ -67,54 +59,25 @@ class MeanBlockCGSolver(PreconditionedCGSolver):
 
     def __init__(
         self,
-        operator: Union[KronSumOperator, sp.spmatrix],
-        num_nodes: Optional[int] = None,
-        mean_block: Optional[sp.spmatrix] = None,
+        operator: KronSumOperator,
         rtol: float = 1e-14,
         maxiter: int = 2000,
     ):
-        if is_operator(operator):
-            self._operator = operator
-            self._apply = operator.as_linear_operator()
-            self.basis_size = operator.basis_size
-            self.num_nodes = operator.num_nodes
-            if mean_block is None:
-                mean_block = operator.mean_block()
-        else:
-            matrix = sp.csr_matrix(operator)
-            if matrix.shape[0] != matrix.shape[1]:
-                raise SolverError("mean-block-cg requires a square system")
-            if num_nodes is None:
-                raise SolverError(
-                    "mean-block-cg needs a KronSumOperator (lazy Galerkin "
-                    "assembly) or an explicit matrix plus num_nodes=<block "
-                    "size> to locate the mean block"
-                )
-            num_nodes = int(num_nodes)
-            if num_nodes <= 0 or matrix.shape[0] % num_nodes:
-                raise SolverError(
-                    f"block size {num_nodes} does not tile a system of "
-                    f"dimension {matrix.shape[0]}"
-                )
-            self._operator = matrix
-            self._apply = spla.aslinearoperator(matrix)
-            self.num_nodes = num_nodes
-            self.basis_size = matrix.shape[0] // num_nodes
-            if mean_block is None:
-                mean_block = matrix[: self.num_nodes, : self.num_nodes]
-        self.shape = (
-            self.basis_size * self.num_nodes,
-            self.basis_size * self.num_nodes,
-        )
+        if not is_operator(operator):
+            raise SolverError(
+                "mean-block-cg needs a KronSumOperator (the Galerkin system's "
+                "operator form) to locate the mean block; got "
+                f"{type(operator).__name__}"
+            )
+        self._operator = operator
+        self._apply = operator.as_linear_operator()
+        self.basis_size = operator.basis_size
+        self.num_nodes = operator.num_nodes
+        self.shape = operator.shape
         self.rtol = float(rtol)
         self.maxiter = int(maxiter)
 
-        mean_block = canonical_csc(mean_block)
-        if mean_block.shape != (self.num_nodes, self.num_nodes):
-            raise SolverError(
-                f"mean block has shape {mean_block.shape}, expected "
-                f"({self.num_nodes}, {self.num_nodes})"
-            )
+        mean_block = canonical_csc(operator.mean_block())
         try:
             with current_telemetry().span(
                 "solver.factor", phase="factor", solver=self.method_name

@@ -26,17 +26,15 @@ class OperaConfig:
     solver:
         Linear solver for the augmented system (any registered backend,
         e.g. ``"direct"``, ``"cg"``, ``"mean-block-cg"``);
-        defaults to the transient config's solver.
+        defaults to the transient config's solver.  It also fixes the form
+        of the augmented matrices: lazy Kronecker-sum operators for
+        backends that consume them (``mean-block-cg``, ``cg``), explicit
+        CSR otherwise (see
+        :meth:`~repro.chaos.galerkin.GalerkinSystem.for_solver`).
     scheme:
         Stepping-scheme spec for the augmented transient (any registered
         scheme, e.g. ``"trapezoidal"``, ``"backward-euler"``,
         ``"theta:0.75"``); defaults to the transient config's method.
-    assemble:
-        Representation of the augmented Galerkin matrices: ``"explicit"``
-        materialises the Kronecker-sum CSR, ``"lazy"`` keeps it as a
-        matrix-free :class:`~repro.linalg.KronSumOperator`, and ``"auto"``
-        (default) picks lazily whenever the effective solver backend
-        declares it consumes operators (``mean-block-cg``, ``cg``, ...).
     solver_options:
         Extra keyword arguments for the solver factory (``rtol``,
         ``maxiter``, ...).
@@ -54,7 +52,6 @@ class OperaConfig:
     order: int = 2
     solver: Optional[str] = None
     scheme: Optional[str] = None
-    assemble: str = "auto"
     solver_options: Optional[Mapping] = None
     store_coefficients: bool = True
     force_coupled: bool = False
@@ -62,11 +59,6 @@ class OperaConfig:
     def __post_init__(self):
         if self.order < 0:
             raise AnalysisError("expansion order must be non-negative")
-        if self.assemble not in ("auto", "explicit", "lazy"):
-            raise AnalysisError(
-                "assemble must be 'auto', 'explicit' or 'lazy'; "
-                f"got {self.assemble!r}"
-            )
         if self.scheme is not None:
             from ..stepping import resolve_scheme
 
@@ -85,17 +77,3 @@ class OperaConfig:
         if self.scheme is not None and self.scheme != transient.method:
             transient = replace(transient, method=self.scheme)
         return transient
-
-    @property
-    def effective_assemble(self) -> str:
-        """The resolved assembly mode (``"explicit"`` or ``"lazy"``).
-
-        ``"auto"`` resolves to lazy exactly when the effective solver's
-        registered factory declares ``accepts_operator`` -- i.e. when the
-        backend can exploit the matrix-free representation.
-        """
-        if self.assemble != "auto":
-            return self.assemble
-        from ..sim.linear import solver_accepts_operator
-
-        return "lazy" if solver_accepts_operator(self.effective_solver) else "explicit"

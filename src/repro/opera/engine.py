@@ -27,15 +27,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..chaos.basis import PolynomialChaosBasis
-from ..errors import AnalysisError
-from ..chaos.galerkin import (
-    GalerkinSystem,
-    assemble_augmented_matrix,
-    assemble_augmented_operator,
-    assemble_augmented_rhs,
-)
+from ..chaos.galerkin import GalerkinSystem
 from ..chaos.response import StochasticField, StochasticTransientResult
-from ..sim.linear import make_solver, solver_accepts_operator
+from ..sim.linear import make_solver
 from ..stepping import GalerkinSystemAdapter, StepLoop
 from ..telemetry import current_telemetry
 from ..variation.model import StochasticSystem
@@ -75,13 +69,12 @@ def _matrix_coefficients(
 def build_galerkin_system(
     system: StochasticSystem,
     basis: PolynomialChaosBasis,
-    assemble: str = "explicit",
 ) -> GalerkinSystem:
     """Assemble the augmented (Galerkin-projected) MNA system.
 
-    ``assemble="lazy"`` builds matrix-free Kronecker-sum operators instead
-    of explicit CSR matrices; either representation stays reachable from
-    the returned system (see :class:`~repro.chaos.galerkin.GalerkinSystem`).
+    The matrices are built as matrix-free Kronecker-sum operators; the
+    explicit CSR form is materialised on first use (see
+    :class:`~repro.chaos.galerkin.GalerkinSystem`).
     """
     return GalerkinSystem(
         basis=basis,
@@ -93,7 +86,6 @@ def build_galerkin_system(
         ),
         excitation_coefficients=lambda t: system.excitation.pc_coefficients(basis, t),
         num_nodes=system.num_nodes,
-        assemble=assemble,
     )
 
 
@@ -104,42 +96,30 @@ def run_opera_dc(
     solver: str = "direct",
     basis: Optional[PolynomialChaosBasis] = None,
     solver_factory: Optional[Callable] = None,
-    assemble: str = "auto",
     solver_options: Optional[Mapping] = None,
+    galerkin: Optional[GalerkinSystem] = None,
 ) -> StochasticField:
     """Stochastic DC analysis: chaos expansion of the steady-state voltages.
 
-    ``assemble`` selects the augmented-matrix representation (``"auto"``
-    goes matrix-free exactly when the solver backend consumes operators,
-    e.g. ``solver="mean-block-cg"``); ``solver_options`` is forwarded to
-    the solver factory.
+    The solver backend fixes the form of ``G~`` (see
+    :meth:`~repro.chaos.galerkin.GalerkinSystem.for_solver`);
+    ``solver_options`` is forwarded to the solver factory.  ``basis``,
+    ``solver_factory`` and ``galerkin`` let a caching caller supply
+    precomputed intermediates, as for :func:`run_opera_transient`.
     """
-    if basis is None:
-        basis = build_basis(system, order)
+    if galerkin is None:
+        if basis is None:
+            basis = build_basis(system, order)
+        with current_telemetry().span("opera.assemble", phase="assemble", order=basis.order):
+            galerkin = build_galerkin_system(system, basis)
     factory = solver_factory if solver_factory is not None else make_solver
-    if assemble not in ("auto", "explicit", "lazy"):
-        raise AnalysisError(
-            f"assemble must be 'auto', 'explicit' or 'lazy'; got {assemble!r}"
-        )
-    if assemble == "auto":
-        assemble = "lazy" if solver_accepts_operator(solver) else "explicit"
-    conductance_coefficients = _matrix_coefficients(
-        basis, system.g_nominal, system.g_sensitivities
+    conductance = galerkin.for_solver("conductance", solver)
+    solution = factory(conductance, method=solver, **dict(solver_options or {})).solve(
+        galerkin.rhs(t)
     )
-    solver_options = dict(solver_options or {})
-    with current_telemetry().span("opera.assemble", phase="assemble", order=basis.order):
-        if assemble == "lazy":
-            augmented_conductance = assemble_augmented_operator(basis, conductance_coefficients)
-        else:
-            augmented_conductance = assemble_augmented_matrix(basis, conductance_coefficients)
-            if solver == "mean-block-cg":
-                solver_options.setdefault("num_nodes", system.num_nodes)
-    rhs = assemble_augmented_rhs(
-        basis, system.excitation.pc_coefficients(basis, t), system.num_nodes
+    return StochasticField(
+        galerkin.basis, galerkin.split(solution), vdd=system.vdd, node_names=system.node_names
     )
-    solution = factory(augmented_conductance, method=solver, **solver_options).solve(rhs)
-    coefficients = solution.reshape(basis.size, system.num_nodes)
-    return StochasticField(basis, coefficients, vdd=system.vdd, node_names=system.node_names)
 
 
 def run_opera_transient(
@@ -163,12 +143,11 @@ def run_opera_transient(
         return run_decoupled_transient(system, config, basis=basis, solver_factory=solver_factory)
 
     started = time.perf_counter()
-    assemble = config.effective_assemble
     if galerkin is None:
         with current_telemetry().span(
             "opera.assemble", phase="assemble", order=basis.order
         ):
-            galerkin = build_galerkin_system(system, basis, assemble=assemble)
+            galerkin = build_galerkin_system(system, basis)
     transient = config.effective_transient
     times = transient.times()
     num_nodes = system.num_nodes
@@ -189,12 +168,10 @@ def run_opera_transient(
             if basis.size > 1:
                 variance[step] = np.sum(blocks[1:] ** 2, axis=0)
 
-    # The operator-aware adapter binds the representation, the solver (with
-    # block-structure options threaded automatically) and the precomputed
-    # rhs_series; the shared StepLoop does the marching.
+    # The adapter binds the form the solver consumes, the solver and the
+    # precomputed rhs_series; the shared StepLoop does the marching.
     adapter = GalerkinSystemAdapter(
         galerkin,
-        assemble=assemble,
         solver=transient.solver,
         solver_factory=solver_factory,
         solver_options=config.solver_options,

@@ -8,11 +8,10 @@ Three adapters cover the library's transient engines:
     the adapter behind :func:`repro.sim.transient.run_transient` (and
     therefore every Monte Carlo sample).
 :class:`GalerkinSystemAdapter`
-    The augmented (Galerkin-projected) system of the OPERA method,
-    operator-aware: ``assemble="lazy"`` keeps the whole run matrix-free on
-    :class:`~repro.linalg.KronSumOperator` representations, and the
-    ``mean-block-cg`` backend receives the block size it needs
-    automatically.
+    The augmented (Galerkin-projected) system of the OPERA method in the
+    form its solver consumes: an operator-aware backend (``mean-block-cg``,
+    ``cg``) runs matrix-free on :class:`~repro.linalg.KronSumOperator`
+    representations, ``direct`` on the explicit CSR matrices.
 :class:`DecoupledSystemAdapter`
     The Section-5.1 special case (deterministic matrices, stochastic
     excitation): the state stacks the active chaos coefficients, the step
@@ -151,47 +150,29 @@ class MnaSystemAdapter(SystemAdapter):
 class GalerkinSystemAdapter(MnaSystemAdapter):
     """The coupled augmented system ``(G~ + s C~) a = U~`` of OPERA.
 
-    ``assemble`` picks the representation (``"explicit"`` CSR or ``"lazy"``
-    matrix-free operators -- resolve ``"auto"`` before constructing, e.g.
-    via :attr:`repro.opera.config.OperaConfig.effective_assemble`).  The
+    The solver picks the form of ``G~`` and ``C~`` (see
+    :meth:`~repro.chaos.galerkin.GalerkinSystem.for_solver`): lazy
+    operators for operator-aware backends, explicit CSR otherwise.  The
     excitation is always the Galerkin system's precomputed
     :meth:`~repro.chaos.galerkin.GalerkinSystem.rhs_series` for the loop's
-    exact time axis.  On explicit input the ``mean-block-cg`` backend gets
-    the block size threaded automatically.
+    exact time axis.
     """
 
     def __init__(
         self,
         galerkin,
         *,
-        assemble: str = "explicit",
         solver: str = "direct",
         solver_factory: Optional[Callable] = None,
         solver_options: Optional[Mapping] = None,
     ):
-        if assemble not in ("explicit", "lazy"):
-            raise SolverError(
-                "assemble must be 'explicit' or 'lazy' (resolve 'auto' "
-                f"before building the adapter); got {assemble!r}"
-            )
-        options = dict(solver_options or {})
-        if assemble == "lazy":
-            conductance = galerkin.conductance_operator
-            capacitance = galerkin.capacitance_operator
-        else:
-            conductance = galerkin.conductance
-            capacitance = galerkin.capacitance
-            if solver == "mean-block-cg":
-                # The explicit matrix carries no block structure; hand the
-                # backend the block size so it can slice out its mean block.
-                options.setdefault("num_nodes", galerkin.num_nodes)
         super().__init__(
-            conductance,
-            capacitance,
+            galerkin.for_solver("conductance", solver),
+            galerkin.for_solver("capacitance", solver),
             rhs_function=galerkin.rhs,
             solver=solver,
             solver_factory=solver_factory,
-            solver_options=options,
+            solver_options=solver_options,
         )
         self._galerkin = galerkin
 

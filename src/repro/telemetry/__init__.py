@@ -43,7 +43,6 @@ from .core import (
 from .report import phase_summary, render_report, solver_summary
 from .stepstats import StepStats
 from .trace import REQUIRED_FIELDS, TRACE_SCHEMA, read_trace, trace_events, write_trace
-from .validate import validate_trace
 
 __all__ = [
     "Counter",
@@ -68,3 +67,13 @@ __all__ = [
     "validate_trace",
     "write_trace",
 ]
+
+
+def __getattr__(name: str):
+    # ``validate`` also runs as ``python -m repro.telemetry.validate``;
+    # importing it with the package would execute it twice (runpy warns).
+    if name == "validate_trace":
+        from .validate import validate_trace
+
+        return validate_trace
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -205,7 +205,7 @@ class TestTripleProductCache:
     def test_shared_tensors_enable_merging(self, small_system):
         """G and C operators assembled on one basis share left factors."""
         session_basis = PolynomialChaosBasis("hermite", order=2, num_vars=2)
-        galerkin = build_galerkin_system(small_system, session_basis, assemble="lazy")
+        galerkin = build_galerkin_system(small_system, session_basis)
         h = 2.0e-10
         stepping = galerkin.conductance_operator + galerkin.capacitance_operator * (1.0 / h)
         separate = (
@@ -218,26 +218,27 @@ class TestTripleProductCache:
 class TestGalerkinSystemModes:
     def test_lazy_mode_materialises_on_demand(self, small_system):
         basis = PolynomialChaosBasis("hermite", order=2, num_vars=2)
-        lazy = build_galerkin_system(small_system, basis, assemble="lazy")
-        explicit = build_galerkin_system(small_system, basis, assemble="explicit")
-        delta = (lazy.conductance - explicit.conductance).tocoo()
-        assert (np.max(np.abs(delta.data)) < 1e-12) if delta.nnz else True
-        delta = (lazy.capacitance - explicit.capacitance).tocoo()
-        assert (np.max(np.abs(delta.data)) < 1e-12) if delta.nnz else True
-        # Explicit systems expose operators on demand too.
-        x = np.random.default_rng(3).standard_normal(explicit.size)
-        assert np.allclose(
-            explicit.conductance_operator @ x, explicit.conductance @ x, atol=1e-12
-        )
+        lazy = build_galerkin_system(small_system, basis)
+        assert not lazy._matrices  # operators only until the CSR form is asked for
+        for which in ("conductance", "capacitance"):
+            reference = assemble_augmented_matrix(basis, getattr(lazy, f"{which}_coefficients"))
+            delta = (getattr(lazy, which) - reference).tocoo()
+            assert (np.max(np.abs(delta.data)) < 1e-12) if delta.nnz else True
+        x = np.random.default_rng(3).standard_normal(lazy.size)
+        assert np.allclose(lazy.conductance_operator @ x, lazy.conductance @ x, atol=1e-12)
 
-    def test_invalid_mode_rejected(self, small_system):
+    def test_solver_picks_the_form(self, small_system):
         basis = PolynomialChaosBasis("hermite", order=1, num_vars=2)
-        with pytest.raises(AnalysisError):
-            build_galerkin_system(small_system, basis, assemble="eager")
+        galerkin = build_galerkin_system(small_system, basis)
+        for solver in ("mean-block-cg", "cg"):
+            assert is_operator(galerkin.for_solver("conductance", solver))
+        assert not galerkin._matrices
+        assert sp.issparse(galerkin.for_solver("capacitance", "direct"))
+        assert set(galerkin._matrices) == {"capacitance"}
 
     def test_rhs_out_buffer(self, small_system):
         basis = PolynomialChaosBasis("hermite", order=2, num_vars=2)
-        galerkin = build_galerkin_system(small_system, basis, assemble="lazy")
+        galerkin = build_galerkin_system(small_system, basis)
         reference = galerkin.rhs(1.0e-9)
         buffer = np.full(galerkin.size, 7.0)
         result = galerkin.rhs(1.0e-9, out=buffer)
@@ -248,7 +249,7 @@ class TestGalerkinSystemModes:
 
     def test_rhs_series_matches_pointwise_rhs(self, small_system, fast_transient):
         basis = PolynomialChaosBasis("hermite", order=2, num_vars=2)
-        galerkin = build_galerkin_system(small_system, basis, assemble="lazy")
+        galerkin = build_galerkin_system(small_system, basis)
         times = fast_transient.times()
         series = galerkin.rhs_series(times)
         buffer = np.empty(galerkin.size)
@@ -261,7 +262,7 @@ class TestGalerkinSystemModes:
 class TestMeanBlockCGSolver:
     def _stepping_operator(self, system, order=2):
         basis = PolynomialChaosBasis("hermite", order=order, num_vars=system.num_variables)
-        galerkin = build_galerkin_system(system, basis, assemble="lazy")
+        galerkin = build_galerkin_system(system, basis)
         h = 2.0e-10
         operator = galerkin.conductance_operator + galerkin.capacitance_operator * (1.0 / h)
         return galerkin, operator
@@ -289,15 +290,10 @@ class TestMeanBlockCGSolver:
         expected = make_solver(operator.to_csr(), method="direct").solve_many(columns)
         assert np.allclose(solver.solve_many(columns), expected, rtol=0, atol=1e-9)
 
-    def test_explicit_matrix_needs_num_nodes(self, small_system):
-        galerkin, operator = self._stepping_operator(small_system)
-        explicit = operator.to_csr()
-        with pytest.raises(SolverError):
-            MeanBlockCGSolver(explicit)
-        solver = MeanBlockCGSolver(explicit, num_nodes=galerkin.num_nodes)
-        rhs = galerkin.rhs(0.0)
-        reference = make_solver(explicit, method="direct").solve(rhs)
-        assert np.allclose(solver.solve(rhs), reference, rtol=0, atol=1e-9)
+    def test_explicit_matrix_rejected(self, small_system):
+        _, operator = self._stepping_operator(small_system)
+        with pytest.raises(SolverError, match="KronSumOperator"):
+            MeanBlockCGSolver(operator.to_csr())
 
     def test_direct_backend_materialises_operator(self, small_system):
         galerkin, operator = self._stepping_operator(small_system, order=1)
@@ -350,15 +346,6 @@ class TestMatrixFreeEngine:
             np.abs(direct.std())
         )
 
-    def test_explicit_assemble_override(self, session):
-        forced = session.run(
-            "opera", order=2, solver="mean-block-cg", assemble="explicit"
-        )
-        direct = session.run("opera", order=2)
-        assert np.max(np.abs(forced.mean() - direct.mean())) <= 1e-10 * np.max(
-            np.abs(direct.mean())
-        )
-
     def test_mixed_representations_rejected(self, session):
         from repro.sim.transient import TransientConfig, run_transient
 
@@ -373,10 +360,18 @@ class TestMatrixFreeEngine:
             )
 
     def test_dc_rejects_bad_assemble(self, session):
-        with pytest.raises(AnalysisError):
-            session.run("opera", mode="dc", order=2, assemble="lazzy")
-        with pytest.raises(AnalysisError):
-            session.run("opera", order=2, assemble="lazzy")
+        # The solver picks the Galerkin form; ``assemble`` is no option.
+        for mode in ("dc", "transient"):
+            with pytest.raises(AnalysisError, match="unknown option.*assemble"):
+                session.run("opera", mode=mode, order=2, assemble="lazy")
+
+    def test_operator_solver_never_builds_the_kron_sum(self):
+        session = Analysis.from_spec(60, seed=5).with_transient(t_stop=1.0e-9, dt=0.2e-9)
+        session.run("opera", order=2, solver="mean-block-cg")
+        session.run("opera", mode="dc", order=2, solver="mean-block-cg")
+        assert session.galerkin(2)._matrices == {}
+        session.run("opera", order=2, solver="direct")
+        assert set(session.galerkin(2)._matrices) == {"conductance", "capacitance"}
 
     def test_solver_stats_report_mean_block_cg(self, session):
         result = session.run("opera", order=2, solver="mean-block-cg")

@@ -94,6 +94,14 @@ class TestCLI:
         args = parser.parse_args(["compare", "--synthetic-nodes", "100", "--samples", "10"])
         assert args.samples == 10
 
+    def test_analyze_rejects_removed_assemble_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--synthetic-nodes", "60", "--assemble", "lazy"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "unrecognized arguments: --assemble lazy" in err
+
     def test_generate_writes_deck(self, tmp_path, capsys):
         output = tmp_path / "grid.sp"
         code = main(["generate", str(output), "--nodes", "80", "--seed", "3"])

@@ -164,8 +164,11 @@ class TestSweepPlan:
 
     def test_grid_mc_workers_applies_to_mc_cases_only(self):
         plan = SweepPlan.grid(
-            [60], engines=("opera", "montecarlo"), samples=8,
-            mc_workers=4, transient=FAST_TRANSIENT,
+            [60],
+            engines=("opera", "montecarlo"),
+            samples=8,
+            mc_workers=4,
+            transient=FAST_TRANSIENT,
         )
         by_engine = {case.engine: case for case in plan}
         assert by_engine["montecarlo"].workers == 4
@@ -173,7 +176,10 @@ class TestSweepPlan:
 
     def test_grid_mc_chunk_size_applies(self):
         plan = SweepPlan.grid(
-            [60], engines=("montecarlo",), samples=16, mc_chunk_size=4,
+            [60],
+            engines=("montecarlo",),
+            samples=16,
+            mc_chunk_size=4,
             transient=FAST_TRANSIENT,
         )
         assert plan.cases[0].chunk_size == 4
@@ -183,13 +189,19 @@ class TestSweepPlan:
             SweepCase(engine="montecarlo", nodes=60, samples=15, antithetic=True)
         with pytest.raises(AnalysisError, match="even chunk_size"):
             SweepCase(
-                engine="montecarlo", nodes=60, samples=16, antithetic=True,
+                engine="montecarlo",
+                nodes=60,
+                samples=16,
+                antithetic=True,
                 chunk_size=7,
             )
 
     def test_grid_rounds_odd_antithetic_samples_up(self):
         plan = SweepPlan.grid(
-            [60], engines=("montecarlo",), samples=7, antithetic=True,
+            [60],
+            engines=("montecarlo",),
+            samples=7,
+            antithetic=True,
             transient=FAST_TRANSIENT,
         )
         assert plan.cases[0].samples == 8
@@ -878,7 +890,7 @@ class TestRegress:
 
         assert regress_main([str(base_path), str(base_path)]) == 0
         assert regress_main([str(base_path), str(slow_path)]) == 1
-        assert (regress_main([str(base_path), str(slow_path), "--max-regression", "1000"]) == 0)
+        assert regress_main([str(base_path), str(slow_path), "--max-regression", "1000"]) == 0
         capsys.readouterr()  # silence report output
 
 
@@ -975,5 +987,5 @@ class TestSweepCli:
         assert "unrecognized arguments: --mor-order 2" in err
 
     def test_sweep_rejects_unknown_corner(self, capsys):
-        assert (cli_main(["sweep", "--nodes", "60", "--samples", "8", "--corners", "bogus"]) == 2)
+        assert cli_main(["sweep", "--nodes", "60", "--samples", "8", "--corners", "bogus"]) == 2
         assert "corner" in capsys.readouterr().err

@@ -15,6 +15,10 @@ Covers the acceptance criteria of the observability PR:
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -268,6 +272,18 @@ class TestValidate:
         assert any("schema" in problem for problem in problems)
         assert any("duration_s" in problem for problem in problems)
         assert validate_main([str(bad)]) == 1
+
+    def test_module_runs_once_without_warnings(self, traced):
+        _, path = traced
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        command = [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.telemetry.validate"]
+        completed = subprocess.run(
+            [*command, str(path)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stderr == ""
 
     def test_empty_and_missing_files_fail(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
