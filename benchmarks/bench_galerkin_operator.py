@@ -14,7 +14,7 @@ variables (see ``_bench_config.py``):
    the mean/std agreement of the two paths recorded per grid and order.
 
 The engine comparison doubles as a solver-ablation sweep
-(``opera-nN-oK-paper`` vs ``opera-nN-oK-mean-block-cg-paper`` cases), so
+(``opera-nN-oK-direct-paper`` vs ``opera-nN-oK-mean-block-cg-paper`` cases), so
 matrix-free wall times are tracked in the same
 :class:`~repro.sweep.BenchRecord` schema as every other perf artifact.  The
 record lands at the repo root as ``BENCH_galerkin.json`` (the perf
@@ -118,7 +118,7 @@ def time_transient_paths(nodes: int, order: int) -> dict:
     session = Analysis.from_spec(nodes, seed=grid_seed_for(nodes, BASE_SEED))
     session.with_transient(transient)
 
-    direct = session.run("opera", order=order, store_coefficients=False)
+    direct = session.run("opera", order=order, solver="direct", store_coefficients=False)
     session.clear_caches()  # fresh factorisations: time full cost per path
     matrix_free = session.run(
         "opera", order=order, solver="mean-block-cg", store_coefficients=False
@@ -145,11 +145,11 @@ def time_transient_paths(nodes: int, order: int) -> dict:
 
 
 def solver_ablation_plan(node_counts, order: int) -> SweepPlan:
-    """Paired opera cases per grid: engine-default direct vs mean-block-cg."""
+    """Paired opera cases per grid: explicit direct vs mean-block-cg."""
     cases = []
     for nodes in node_counts:
         grid_seed = grid_seed_for(nodes, BASE_SEED)
-        for solver in (None, "mean-block-cg"):
+        for solver in ("direct", "mean-block-cg"):
             case = SweepCase(
                 engine="opera",
                 nodes=int(nodes),

@@ -54,21 +54,22 @@ from _bench_config import (
 BASE_SEED = 7
 
 
-def _matrix_free_case(nodes: int) -> SweepCase:
-    """An opera case on the lazy Kronecker-sum operators (``mean-block-cg``)."""
+def _direct_case(nodes: int) -> SweepCase:
+    """An opera case on the explicit Kronecker sum with the direct LU (the
+    paper's method; the default case runs ``mean-block-cg``)."""
     return SweepCase(
         engine="opera",
         nodes=int(nodes),
         grid_seed=grid_seed_for(nodes, BASE_SEED),
         order=2,
-        solver="mean-block-cg",
+        solver="direct",
     ).with_derived_seed(BASE_SEED)
 
 
 @pytest.fixture(scope="module")
 def table1_sweep(results_dir):
-    """One sweep over all benchmark grids: OPERA order-2 (explicit direct and
-    matrix-free ``mean-block-cg``) + Monte Carlo."""
+    """One sweep over all benchmark grids: OPERA order-2 (matrix-free
+    ``mean-block-cg`` and explicit direct) + Monte Carlo."""
     plan = SweepPlan.grid(
         bench_node_counts(),
         engines=("opera", "montecarlo"),
@@ -79,7 +80,7 @@ def table1_sweep(results_dir):
         base_seed=BASE_SEED,
     )
     plan = dataclasses.replace(
-        plan, cases=plan.cases + tuple(_matrix_free_case(nodes) for nodes in bench_node_counts())
+        plan, cases=plan.cases + tuple(_direct_case(nodes) for nodes in bench_node_counts())
     )
     runner = SweepRunner(workers=bench_workers(), keep_statistics=True)
     # With OPERA_BENCH_STORE set, Table-1 rows are resumable: re-runs (or
@@ -92,14 +93,12 @@ def table1_sweep(results_dir):
 
 @pytest.mark.parametrize("target_nodes", bench_node_counts())
 def test_matrix_free_solver_matches_direct(table1_sweep, target_nodes):
-    """The ``mean-block-cg`` case reproduces the explicit-direct statistics.
-
-    This pins the ROADMAP follow-up of wiring the matrix-free solver into
-    the paper benches: the tight CG tolerance keeps the Table-1 rows
+    """The default (``mean-block-cg``) case reproduces the explicit-direct
+    statistics: the tight CG tolerance keeps the Table-1 rows
     solver-independent.
     """
-    direct = table1_sweep.case(engine="opera", nodes=target_nodes, solver=None)
-    fast = table1_sweep.case(engine="opera", nodes=target_nodes, solver="mean-block-cg")
+    direct = table1_sweep.case(engine="opera", nodes=target_nodes, solver="direct")
+    fast = table1_sweep.case(engine="opera", nodes=target_nodes, solver=None)
     np.testing.assert_allclose(fast.mean, direct.mean, rtol=0.0, atol=1e-9)
     np.testing.assert_allclose(fast.std, direct.std, rtol=0.0, atol=1e-9)
 

@@ -38,6 +38,7 @@ from ..opera.config import OperaConfig
 from ..opera.engine import run_opera_dc, run_opera_transient
 from ..registry import Registry
 from ..sim.dc import dc_operating_point
+from ..sim.linear import resolve_solver
 from ..sim.transient import TransientConfig
 from ..telemetry import current_telemetry
 from .result import (
@@ -173,19 +174,21 @@ def _run_opera_engine(session, mode: Optional[str] = None, **options):
     if mode == "dc":
         t = float(options.pop("t", 0.0))
         _reject_unknown(options, "opera", mode)
+        solver = resolve_solver(solver, galerkin=True)
         started = time.perf_counter()
         with current_telemetry().span("opera.assemble", phase="assemble", order=order):
             galerkin = session.galerkin(order)
         field = run_opera_dc(
             system,
             t=t,
-            solver=solver or "direct",
+            solver=solver,
             solver_factory=session.solver,
             solver_options=solver_options,
             galerkin=galerkin,
         )
         elapsed = time.perf_counter() - started
         view = StochasticResultView("opera", "dc", field, system.vdd, wall_time=elapsed)
+        view.solver = solver
         view.solver_stats = _solver_stats_delta(stats_before, session.solver_stats())
         return view
 
@@ -199,8 +202,9 @@ def _run_opera_engine(session, mode: Optional[str] = None, **options):
         force_coupled=bool(options.pop("force_coupled", False)),
     )
     _reject_unknown(options, "opera", mode)
+    coupled = system.has_matrix_variation or config.force_coupled
     galerkin = None
-    if system.has_matrix_variation or config.force_coupled:
+    if coupled:
         with current_telemetry().span("opera.assemble", phase="assemble", order=order):
             galerkin = session.galerkin(order)
     result = run_opera_transient(
@@ -212,6 +216,7 @@ def _run_opera_engine(session, mode: Optional[str] = None, **options):
     )
     view = StochasticResultView("opera", "transient", result, system.vdd)
     view.transient = transient
+    view.solver = resolve_solver(config.effective_transient.solver, galerkin=coupled)
     view.solver_stats = _solver_stats_delta(stats_before, session.solver_stats())
     return view
 
@@ -226,7 +231,7 @@ def _run_montecarlo_engine(session, mode: Optional[str] = None, **options):
         samples = options.pop("num_samples", 200)
     samples = int(samples)
     seed = int(options.pop("seed", 0))
-    solver = options.pop("solver", None) or "direct"
+    solver = options.pop("solver", None)
     workers = int(options.pop("workers", 1))
     chunk_size = options.pop("chunk_size", None)
     if chunk_size is not None:
@@ -245,7 +250,9 @@ def _run_montecarlo_engine(session, mode: Optional[str] = None, **options):
             workers=workers,
             chunk_size=chunk_size,
         )
-        return MonteCarloResultView("montecarlo", "dc", result, system.vdd)
+        view = MonteCarloResultView("montecarlo", "dc", result, system.vdd)
+        view.solver = resolve_solver(solver, galerkin=False)
+        return view
 
     transient = _resolve_transient(session, options)
     config = MonteCarloConfig(
@@ -262,6 +269,7 @@ def _run_montecarlo_engine(session, mode: Optional[str] = None, **options):
     result = run_monte_carlo_transient(system, config)
     view = MonteCarloResultView("montecarlo", "transient", result, system.vdd)
     view.transient = transient
+    view.solver = resolve_solver(config.effective_transient.solver, galerkin=False)
     return view
 
 
@@ -277,11 +285,13 @@ def _run_deterministic_engine(session, mode: Optional[str] = None, **options):
         t = float(options.pop("t", 0.0))
         _reject_unknown(options, "deterministic", mode)
         started = time.perf_counter()
-        result = dc_operating_point(session.stamped, t=t, solver=solver or "direct")
+        result = dc_operating_point(session.stamped, t=t, solver=solver)
         elapsed = time.perf_counter() - started
-        return DeterministicResultView(
+        view = DeterministicResultView(
             "deterministic", "dc", result, session.stamped.vdd, wall_time=elapsed
         )
+        view.solver = resolve_solver(solver, galerkin=False)
+        return view
 
     transient = _resolve_transient(session, options)
     if solver is not None and solver != transient.solver:
@@ -294,6 +304,7 @@ def _run_deterministic_engine(session, mode: Optional[str] = None, **options):
         "deterministic", "transient", result, result.vdd, wall_time=elapsed
     )
     view.transient = transient
+    view.solver = resolve_solver(transient.solver, galerkin=False)
     view.solver_stats = _solver_stats_delta(stats_before, session.solver_stats())
     return view
 

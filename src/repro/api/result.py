@@ -87,6 +87,11 @@ class EngineResult:
         if wall_time is None:
             wall_time = getattr(raw, "wall_time", None)
         self.wall_time = wall_time
+        #: The linear-solver backend the run used, as resolved by
+        #: :func:`~repro.sim.linear.resolve_solver` (e.g. ``"mean-block-cg"``
+        #: for a default coupled ``opera`` run, ``"direct"`` for its
+        #: decoupled special case); set by the built-in engines.
+        self.solver: Optional[str] = None
         #: Linear-solver diagnostics of the run (iteration counts, final
         #: residuals, factorisation times), attached by engines whose solver
         #: backends expose them; ``None`` when unavailable.  While telemetry
@@ -115,6 +120,8 @@ class EngineResult:
             "worst_drop": self.worst_drop(),
             "max_std": float(np.max(std)) if std.size else 0.0,
         }
+        if self.solver is not None:
+            summary["solver"] = self.solver
         if self.solver_stats:
             summary["solver_stats"] = _sorted_stats(self.solver_stats)
         return summary

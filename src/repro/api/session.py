@@ -168,7 +168,7 @@ class Analysis:
 
     @property
     def num_nodes(self) -> int:
-        return (self._system.num_nodes if self._system is not None else self.stamped.num_nodes)
+        return self._system.num_nodes if self._system is not None else self.stamped.num_nodes
 
     # ------------------------------------------------------------ configuration
     def with_variation(self, spec: VariationSpec) -> "Analysis":

@@ -105,6 +105,10 @@ def jacobi_norm_squared(order: int, alpha: float, beta: float) -> float:
         raise BasisError("polynomial order must be non-negative")
     if alpha <= -1 or beta <= -1:
         raise BasisError("Jacobi parameters must exceed -1")
+    if order == 0:
+        # P_0 = 1.  The general formula below divides Gamma(a+b+1) by
+        # (a+b+1), which is 0/0 at a+b = -1 (the arcsine weight).
+        return 1.0
 
     def log_norm_integral(k: int) -> float:
         # integral of (1-x)^a (1+x)^b [P_k^(a,b)]^2 dx over [-1, 1]

@@ -77,7 +77,7 @@ class PolynomialFamily(abc.ABC):
         """``E[phi_a phi_b phi_c]``; default implementation uses exact quadrature."""
         num_points = (a + b + c) // 2 + 1
         nodes, weights = self.quadrature(max(num_points, 1))
-        values = (self.evaluate(a, nodes) * self.evaluate(b, nodes) * self.evaluate(c, nodes))
+        values = self.evaluate(a, nodes) * self.evaluate(b, nodes) * self.evaluate(c, nodes)
         return float(np.sum(weights * values))
 
     def evaluate_normalized(self, order: int, x):

@@ -107,3 +107,6 @@ def _build_mean_block_cg(matrix, **options) -> MeanBlockCGSolver:
 #: Consumed by :func:`repro.sim.linear.make_solver`: this backend takes lazy
 #: operators as-is instead of having them materialised to CSR first.
 _build_mean_block_cg.accepts_operator = True
+#: Consumed by :func:`repro.sim.linear.resolve_solver`: an ``n x n`` system
+#: has no chaos blocks, so ``direct`` solves it instead.
+_build_mean_block_cg.operator_only = True

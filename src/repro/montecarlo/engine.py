@@ -30,7 +30,7 @@ import pickle
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,7 +88,10 @@ class MonteCarloConfig:
         Node indices whose full per-sample drop waveforms are recorded
         (needed for distribution plots).
     solver:
-        Linear solver for the per-sample factorisations.
+        Linear solver for the per-sample factorisations; overrides the
+        transient config's solver.  Each sample is an ``n x n`` system, so
+        ``None`` (with no transient solver either) runs ``direct`` (see
+        :func:`~repro.sim.linear.resolve_solver`).
     workers:
         Number of worker processes.  ``1`` (default) runs serially on the
         legacy single-stream path unless ``chunk_size`` is set; ``> 1``
@@ -106,7 +109,7 @@ class MonteCarloConfig:
     seed: int = 0
     antithetic: bool = False
     store_nodes: Tuple[int, ...] = ()
-    solver: str = "direct"
+    solver: Optional[str] = None
     workers: int = 1
     chunk_size: Optional[int] = None
 
@@ -130,6 +133,13 @@ class MonteCarloConfig:
                     "so the final chunk is not left with an unpaired sample; "
                     f"got {self.num_samples}"
                 )
+
+    @property
+    def effective_transient(self) -> TransientConfig:
+        """The transient config with the ``solver`` override folded in."""
+        if self.solver is None or self.solver == self.transient.solver:
+            return self.transient
+        return replace(self.transient, solver=self.solver)
 
     @property
     def chunked(self) -> bool:
@@ -365,14 +375,15 @@ def run_monte_carlo_transient(
     docstring.
     """
     started = time.perf_counter()
-    times = config.transient.times()
+    transient = config.effective_transient
+    times = transient.times()
 
     if config.chunked:
         sizes = config.chunk_sizes()
         seeds = _chunk_seeds(config.seed, len(sizes))
         jobs = [
             (
-                config.transient,
+                transient,
                 chunk_seed,
                 chunk_samples,
                 config.antithetic,
@@ -392,7 +403,7 @@ def run_monte_carlo_transient(
     else:
         germs = _draw_samples(system, config)
         moments, node_drop_samples = _accumulate_transient_chunk(
-            system, config.transient, germs, config.store_nodes
+            system, transient, germs, config.store_nodes
         )
         num_samples = germs.shape[0]
 
@@ -414,7 +425,7 @@ def run_monte_carlo_dc(
     num_samples: int = 1000,
     t: float = 0.0,
     seed: int = 0,
-    solver: str = "direct",
+    solver: Optional[str] = None,
     workers: int = 1,
     chunk_size: Optional[int] = None,
 ) -> MonteCarloDCResult:

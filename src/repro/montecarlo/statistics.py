@@ -91,7 +91,7 @@ class RunningMoments:
         count = self._count + other._count
         delta = other._mean - self._mean
         self._mean = self._mean + delta * (other._count / count)
-        self._m2 = (self._m2 + other._m2 + delta * delta * (self._count * other._count / count))
+        self._m2 = self._m2 + other._m2 + delta * delta * (self._count * other._count / count)
         self._count = count
         return self
 

@@ -19,13 +19,13 @@ first ``q`` block moments of the original transfer function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..errors import SolverError
-from ..sim.linear import make_solver
+from ..sim.linear import make_solver, resolve_solver
 from ..sim.transient import TransientConfig, run_transient
 
 __all__ = ["ReducedModel", "prima_reduce"]
@@ -79,7 +79,7 @@ def prima_reduce(
     capacitance: sp.spmatrix,
     ports: np.ndarray,
     num_moments: int = 2,
-    solver: str = "direct",
+    solver: Optional[str] = None,
     deflation_tolerance: float = 1e-12,
 ) -> ReducedModel:
     """Reduce an RC system with a block-Arnoldi (PRIMA) congruence projection.
@@ -96,7 +96,8 @@ def prima_reduce(
         Number of block moments to match (Krylov depth ``q``); the reduced
         order is at most ``q * m``.
     solver:
-        Linear solver used for the repeated ``G``-solves.
+        Linear solver used for the repeated ``G``-solves; ``None`` runs
+        ``direct`` (``G`` is an ``n x n`` matrix).
     deflation_tolerance:
         Columns whose *relative* norm falls below this value after
         orthogonalisation are dropped (deflation of converged directions).
@@ -143,7 +144,7 @@ def prima_reduce(
             projection=projection,
         )
 
-    g_solver = make_solver(conductance, method=solver)
+    g_solver = make_solver(conductance, method=resolve_solver(solver, galerkin=False))
 
     def orthonormalize(block: np.ndarray, basis_columns: list) -> np.ndarray:
         """Modified Gram-Schmidt of ``block`` against existing columns.

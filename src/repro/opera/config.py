@@ -24,13 +24,19 @@ class OperaConfig:
         Total order ``p`` of the chaos expansion.  The paper finds order 2
         or 3 sufficient for realistic variation magnitudes.
     solver:
-        Linear solver for the augmented system (any registered backend,
-        e.g. ``"direct"``, ``"cg"``, ``"mean-block-cg"``);
-        defaults to the transient config's solver.  It also fixes the form
-        of the augmented matrices: lazy Kronecker-sum operators for
-        backends that consume them (``mean-block-cg``, ``cg``), explicit
-        CSR otherwise (see
-        :meth:`~repro.chaos.galerkin.GalerkinSystem.for_solver`).
+        Linear solver (any registered backend, e.g. ``"direct"``,
+        ``"cg"``, ``"mean-block-cg"``); overrides the transient config's
+        solver.  When neither names one,
+        :func:`~repro.sim.linear.resolve_solver` picks from the system's
+        form: ``mean-block-cg`` for the augmented Galerkin system,
+        ``direct`` for the ``n x n`` system of the decoupled special case.
+        The operator-only ``mean-block-cg`` named on the decoupled case
+        also runs ``direct``.  On the augmented system the solver fixes the
+        form of the matrices: lazy Kronecker-sum operators for backends
+        that consume them (``mean-block-cg``, ``cg``), explicit CSR
+        otherwise (see
+        :meth:`~repro.chaos.galerkin.GalerkinSystem.for_solver`).  The
+        paper's reference is ``direct`` on the explicit matrix.
     scheme:
         Stepping-scheme spec for the augmented transient (any registered
         scheme, e.g. ``"trapezoidal"``, ``"backward-euler"``,
@@ -63,10 +69,6 @@ class OperaConfig:
             from ..stepping import resolve_scheme
 
             resolve_scheme(self.scheme)  # raises SchemeError with a listing
-
-    @property
-    def effective_solver(self) -> str:
-        return self.solver if self.solver is not None else self.transient.solver
 
     @property
     def effective_transient(self) -> TransientConfig:

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from ..chaos.basis import PolynomialChaosBasis
 from ..chaos.galerkin import GalerkinSystem
 from ..chaos.response import StochasticField, StochasticTransientResult
-from ..sim.linear import make_solver
+from ..sim.linear import make_solver, resolve_solver
 from ..stepping import GalerkinSystemAdapter, StepLoop
 from ..telemetry import current_telemetry
 from ..variation.model import StochasticSystem
@@ -93,7 +93,7 @@ def run_opera_dc(
     system: StochasticSystem,
     order: int = 2,
     t: float = 0.0,
-    solver: str = "direct",
+    solver: Optional[str] = None,
     basis: Optional[PolynomialChaosBasis] = None,
     solver_factory: Optional[Callable] = None,
     solver_options: Optional[Mapping] = None,
@@ -101,7 +101,9 @@ def run_opera_dc(
 ) -> StochasticField:
     """Stochastic DC analysis: chaos expansion of the steady-state voltages.
 
-    The solver backend fixes the form of ``G~`` (see
+    ``solver=None`` runs ``mean-block-cg``, the default for the Galerkin
+    system (see :func:`~repro.sim.linear.resolve_solver`).  The solver
+    backend fixes the form of ``G~`` (see
     :meth:`~repro.chaos.galerkin.GalerkinSystem.for_solver`);
     ``solver_options`` is forwarded to the solver factory.  ``basis``,
     ``solver_factory`` and ``galerkin`` let a caching caller supply
@@ -113,6 +115,7 @@ def run_opera_dc(
         with current_telemetry().span("opera.assemble", phase="assemble", order=basis.order):
             galerkin = build_galerkin_system(system, basis)
     factory = solver_factory if solver_factory is not None else make_solver
+    solver = resolve_solver(solver, galerkin=True)
     conductance = galerkin.for_solver("conductance", solver)
     solution = factory(conductance, method=solver, **dict(solver_options or {})).solve(
         galerkin.rhs(t)

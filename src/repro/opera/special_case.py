@@ -86,7 +86,7 @@ def run_decoupled_transient(
             capacitance,
             tracks=len(active),
             rhs_series=series,
-            solver=config.effective_solver,
+            solver=config.effective_transient.solver,
             solver_factory=solver_factory,
         )
         active_rows = np.asarray(active, dtype=int)

@@ -39,6 +39,7 @@ from ..montecarlo import engine as _mc_engine
 from ..montecarlo.engine import _chunk_layout, _chunk_seeds, _run_chunk_jobs
 from ..montecarlo.sampler import GermSampler
 from ..sim.dc import solve_dc
+from ..sim.linear import resolve_solver
 from ..sim.transient import TransientConfig, run_transient
 from ..telemetry import current_telemetry
 from ..variation.model import StochasticSystem
@@ -257,7 +258,7 @@ def run_regression_dc(
     seed: int = 0,
     fit: str = "ols",
     fit_options: Optional[Dict[str, Any]] = None,
-    solver: str = "direct",
+    solver: Optional[str] = None,
     workers: int = 1,
     chunk_size: Optional[int] = None,
     normalize: bool = True,
@@ -363,13 +364,15 @@ def _run_pce_regression_engine(session, mode: Optional[str] = None, **options):
             seed=seed,
             fit=fit,
             fit_options=fit_options,
-            solver=solver or "direct",
+            solver=solver,
             workers=workers,
             chunk_size=chunk_size,
             normalize=normalize,
             basis=basis,
         )
-        return RegressionResultView("pce-regression", "dc", field, system.vdd)
+        view = RegressionResultView("pce-regression", "dc", field, system.vdd)
+        view.solver = resolve_solver(solver, galerkin=False)
+        return view
 
     transient = _resolve_transient(session, options)
     if solver is not None and solver != transient.solver:
@@ -389,4 +392,5 @@ def _run_pce_regression_engine(session, mode: Optional[str] = None, **options):
     result = run_regression_transient(system, config, basis=basis)
     view = RegressionResultView("pce-regression", "transient", result, system.vdd)
     view.transient = transient
+    view.solver = resolve_solver(transient.solver, galerkin=False)
     return view

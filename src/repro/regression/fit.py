@@ -395,9 +395,7 @@ def _fit_lasso(
                 matrix,
                 targets,
                 candidates,
-                lambda a, y, candidate: _lasso_fit_all(
-                    a, y, candidate, weights, max_iter, tol
-                ),
+                lambda a, y, candidate: _lasso_fit_all(a, y, candidate, weights, max_iter, tol),
                 folds,
                 cv_seed,
             )

@@ -8,12 +8,13 @@ grids, and to provide initial conditions for the transient integrator.
 
 from __future__ import annotations
 
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..grid.stamping import StampedSystem
-from .linear import LinearSolver, make_solver
+from .linear import LinearSolver, _is_lazy_operator, make_solver, resolve_solver
 from .results import DCResult
 
 __all__ = ["solve_dc", "dc_operating_point"]
@@ -22,10 +23,15 @@ __all__ = ["solve_dc", "dc_operating_point"]
 def solve_dc(
     conductance: sp.spmatrix,
     rhs: np.ndarray,
-    solver: str = "direct",
+    solver: Optional[str] = None,
     **solver_options,
 ) -> np.ndarray:
-    """Solve ``G x = rhs`` and return the node voltages."""
+    """Solve ``G x = rhs`` and return the node voltages.
+
+    ``solver=None`` takes the default of
+    :func:`~repro.sim.linear.resolve_solver` for the matrix's form.
+    """
+    solver = resolve_solver(solver, galerkin=_is_lazy_operator(conductance))
     linear: LinearSolver = make_solver(conductance, method=solver, **solver_options)
     return linear.solve(np.asarray(rhs, dtype=float))
 
@@ -33,7 +39,7 @@ def solve_dc(
 def dc_operating_point(
     system: StampedSystem,
     t: float = 0.0,
-    solver: str = "direct",
+    solver: Optional[str] = None,
     **solver_options,
 ) -> DCResult:
     """DC operating point of a stamped power grid at time ``t``.

@@ -41,6 +41,7 @@ __all__ = [
     "solver_names",
     "solver_factory",
     "solver_accepts_operator",
+    "resolve_solver",
     "matrix_fingerprint",
     "sparsity_fingerprint",
     "canonical_csc",
@@ -519,6 +520,36 @@ def solver_accepts_operator(method: str) -> bool:
     except SolverError:
         return False
     return bool(getattr(factory, "accepts_operator", False))
+
+
+def resolve_solver(name: Optional[str], *, galerkin: bool) -> str:
+    """The backend that solves a system of the given form.
+
+    The one place the default solver is decided; every entry point takes
+    ``solver=None`` and asks here.
+
+    * A Galerkin operator (the augmented ``P n x P n`` system of OPERA)
+      gets ``name``, or ``"mean-block-cg"`` when none is named.
+    * An ``n x n`` system (the decoupled special case, Monte Carlo
+      samples, deterministic and DC solves) gets ``name``, or ``"direct"``
+      when none is named.  A backend that only runs on a Galerkin operator
+      (its factory sets ``operator_only``, as ``mean-block-cg`` does) also
+      gets ``"direct"`` there: its preconditioner would be the exact LU of
+      that same matrix.
+
+    Unknown names are returned unchanged, so :func:`make_solver` reports
+    them with the registry's listing.
+    """
+    if name is None:
+        return "mean-block-cg" if galerkin else "direct"
+    if not galerkin:
+        try:
+            factory = _SOLVERS.get(name)
+        except SolverError:
+            return name
+        if getattr(factory, "operator_only", False):
+            return "direct"
+    return name
 
 
 def make_solver(matrix: sp.spmatrix, method: str = "direct", **options) -> LinearSolver:

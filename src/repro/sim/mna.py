@@ -66,7 +66,7 @@ class MNASystem:
     def num_nodes(self) -> int:
         return self.conductance.shape[0]
 
-    def dc(self, t: float = 0.0, solver: str = "direct") -> DCResult:
+    def dc(self, t: float = 0.0, solver: Optional[str] = None) -> DCResult:
         """DC operating point at time ``t``."""
         voltages = solve_dc(self.conductance, self.rhs_function(t), solver=solver)
         return DCResult(voltages=voltages, vdd=self.vdd)

@@ -60,16 +60,19 @@ class TransientConfig:
         (default), ``"trapezoidal"``, ``"theta:<value>"``, or any name
         added with :func:`repro.stepping.register_scheme`.
     solver:
-        Linear solver used for the (constant) integration matrix:
-        any registered backend name, e.g. ``"direct"``, ``"cg"`` or (for
-        augmented Galerkin systems) ``"mean-block-cg"``.
+        Linear solver used for the (constant) integration matrix: any
+        registered backend name, e.g. ``"direct"``, ``"cg"`` or (for
+        augmented Galerkin systems) ``"mean-block-cg"``.  ``None`` (the
+        default) lets :func:`~repro.sim.linear.resolve_solver` pick from the
+        system's form: ``mean-block-cg`` for a Galerkin operator, ``direct``
+        for an ``n x n`` system.
     """
 
     t_stop: float
     dt: float
     t_start: float = 0.0
     method: str = "backward-euler"
-    solver: str = "direct"
+    solver: Optional[str] = None
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -150,8 +153,7 @@ def run_transient(
         ``rhs_function``; the series must cover exactly ``config.times()``.
     solver_options:
         Extra keyword arguments forwarded to the solver factory (e.g.
-        ``rtol`` for iterative backends, ``num_nodes`` for an explicit
-        ``mean-block-cg`` system).
+        ``rtol`` for iterative backends).
     """
     if rhs_function is None and rhs_series is None:
         raise SolverError("either rhs_function or rhs_series is required")

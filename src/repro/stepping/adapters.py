@@ -62,6 +62,13 @@ def _default_factory():
     return make_solver
 
 
+def _resolve_solver(solver: Optional[str], galerkin: bool) -> str:
+    """:func:`repro.sim.linear.resolve_solver`, imported per call like the above."""
+    from ..sim.linear import resolve_solver
+
+    return resolve_solver(solver, galerkin=galerkin)
+
+
 # ---------------------------------------------------------------------------
 # Deterministic MNA
 # ---------------------------------------------------------------------------
@@ -78,7 +85,9 @@ class MnaSystemAdapter(SystemAdapter):
         ``fill(step, out)`` covering the loop's time axis (at least one is
         required by the loop).
     solver:
-        Registered linear-solver backend name.
+        Registered linear-solver backend name; ``None`` takes the default
+        of :func:`~repro.sim.linear.resolve_solver` for the form of ``G``
+        (``mean-block-cg`` for lazy operators, ``direct`` for matrices).
     solver_factory:
         Optional solver provider with the signature of
         :func:`repro.sim.linear.make_solver` (the session facade injects
@@ -94,7 +103,7 @@ class MnaSystemAdapter(SystemAdapter):
         *,
         rhs_function: Optional[Callable[[float], np.ndarray]] = None,
         rhs_series=None,
-        solver: str = "direct",
+        solver: Optional[str] = None,
         solver_factory: Optional[Callable] = None,
         solver_options: Optional[Mapping] = None,
     ):
@@ -115,7 +124,7 @@ class MnaSystemAdapter(SystemAdapter):
         self._matrix_free = matrix_free
         self._rhs_function = rhs_function
         self._rhs_series = rhs_series
-        self.solver = str(solver)
+        self.solver = _resolve_solver(solver, galerkin=matrix_free)
         self._factory = solver_factory
         self._options = dict(solver_options or {})
 
@@ -150,7 +159,8 @@ class MnaSystemAdapter(SystemAdapter):
 class GalerkinSystemAdapter(MnaSystemAdapter):
     """The coupled augmented system ``(G~ + s C~) a = U~`` of OPERA.
 
-    The solver picks the form of ``G~`` and ``C~`` (see
+    ``solver=None`` runs ``mean-block-cg``.  The solver picks the form of
+    ``G~`` and ``C~`` (see
     :meth:`~repro.chaos.galerkin.GalerkinSystem.for_solver`): lazy
     operators for operator-aware backends, explicit CSR otherwise.  The
     excitation is always the Galerkin system's precomputed
@@ -162,10 +172,11 @@ class GalerkinSystemAdapter(MnaSystemAdapter):
         self,
         galerkin,
         *,
-        solver: str = "direct",
+        solver: Optional[str] = None,
         solver_factory: Optional[Callable] = None,
         solver_options: Optional[Mapping] = None,
     ):
+        solver = _resolve_solver(solver, galerkin=True)
         super().__init__(
             galerkin.for_solver("conductance", solver),
             galerkin.for_solver("capacitance", solver),
@@ -290,7 +301,8 @@ class DecoupledSystemAdapter(SystemAdapter):
     the active tracks into one state vector so the shared loop steps them
     all at once: the hoisted products are ``I_J (x) A`` applications and
     each solve is one multi-RHS back-substitution of the single ``n x n``
-    factorisation.
+    factorisation.  ``solver`` resolves as for any ``n x n`` system:
+    ``None`` and the operator-only ``mean-block-cg`` both run ``direct``.
     """
 
     def __init__(
@@ -300,7 +312,7 @@ class DecoupledSystemAdapter(SystemAdapter):
         tracks: int,
         rhs_series: StackedRhsSeries,
         *,
-        solver: str = "direct",
+        solver: Optional[str] = None,
         solver_factory: Optional[Callable] = None,
         solver_options: Optional[Mapping] = None,
     ):
@@ -312,7 +324,7 @@ class DecoupledSystemAdapter(SystemAdapter):
         if self._tracks < 1:
             raise SolverError(f"need at least one active track, got {tracks}")
         self._series = rhs_series
-        self.solver = str(solver)
+        self.solver = _resolve_solver(solver, galerkin=False)
         self._factory = solver_factory
         self._options = dict(solver_options or {})
 

@@ -70,8 +70,9 @@ A benchmark artifact is a single JSON object::
           "corner": "paper",                 # variation corner name
           "order": 2,                        # chaos order, or null
           "samples": null,                   # MC sample count, or null
-          "solver": null,                    # solver backend, or null
+          "solver": null,                    # requested solver, or null
           "scheme": null,                    # stepping scheme, or null
+          "backend": "mean-block-cg",        # solver backend that ran
           "seed": 123456789,                 # the deterministic case seed
           "wall_time_s": 0.41,               # engine wall time, seconds
           "worst_drop_v": 0.132,             # max mean drop, volts
@@ -83,7 +84,11 @@ A benchmark artifact is a single JSON object::
 
 Cases are matched across artifacts by the identity tuple ``(engine, nodes,
 order, samples, corner)``, extended by ``solver`` and ``scheme`` when set;
-``name`` is derived from the same fields.  Optional fields may be absent on
+``name`` is derived from the same fields.  ``solver`` is the requested
+backend; ``backend`` (not part of the identity) is the one that ran, so a
+campaign resumed across a change of default shows which cases ran which
+backend.  Entries without ``backend`` ran their ``solver``, or ``direct``
+(:func:`~repro.sweep.record.case_backend`).  Optional fields may be absent on
 read, and artifacts written by removed code paths still load: their
 ``partitions`` entries (the ``hierarchical`` engine), ``batched`` config
 flag and ``reused_factorization`` case entries (the batched scheduler) and
@@ -101,7 +106,7 @@ from .plan import (
     case_seed_for,
     grid_seed_for,
 )
-from .record import SCHEMA, BenchRecord, record_from_outcome, record_from_store
+from .record import SCHEMA, BenchRecord, case_backend, record_from_outcome, record_from_store
 from .regress import (
     CaseDelta,
     RegressionReport,
@@ -136,6 +141,7 @@ __all__ = [
     "plan_fingerprint",
     "BenchRecord",
     "SCHEMA",
+    "case_backend",
     "record_from_outcome",
     "record_from_store",
     "CaseDelta",

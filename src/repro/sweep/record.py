@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from ..errors import AnalysisError, StoreError
 from ..telemetry import merge_summaries
 
-__all__ = ["SCHEMA", "BenchRecord", "record_from_outcome", "record_from_store"]
+__all__ = ["SCHEMA", "BenchRecord", "case_backend", "record_from_outcome", "record_from_store"]
 
 #: Schema identifier of the artifact format this module reads and writes.
 SCHEMA = "repro.sweep/bench-record/v1"
@@ -41,6 +41,24 @@ _CASE_KEYS = (
     "max_std_v",
     "speedup_vs_mc",
 )
+
+
+#: The backend every engine ran when a case named no solver, before the
+#: default came to depend on the system's form.
+_PRE_RESOLVER_DEFAULT = "direct"
+
+
+def case_backend(case: Dict) -> str:
+    """The linear-solver backend a case entry (record or store) ran.
+
+    Entries carry it as the optional ``backend`` key.  Entries written
+    before that key existed ran the ``solver`` they named, or ``direct``
+    when they named none.
+    """
+    for key in ("backend", "solver"):
+        if case.get(key) is not None:
+            return str(case[key])
+    return _PRE_RESOLVER_DEFAULT
 
 
 def _environment() -> Dict[str, str]:

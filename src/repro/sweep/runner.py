@@ -53,7 +53,11 @@ class SweepCaseResult:
     ``telemetry`` carries the case's :meth:`repro.telemetry.Telemetry.summary`
     (phase timings, solver counters, per-step stats) when the runner was
     built with ``telemetry=True``; it is JSON-safe and travels through every
-    results backend.
+    results backend.  ``solver`` is the backend the case asked for (part of
+    its identity, ``None`` for the engine's default); ``backend`` is the one
+    that ran, as the engine resolved it (see
+    :func:`repro.sweep.record.case_backend` for entries written before it
+    was recorded).
     """
 
     engine: str
@@ -70,6 +74,7 @@ class SweepCaseResult:
     vdd: float = 1.0
     solver: Optional[str] = None
     scheme: Optional[str] = None
+    backend: Optional[str] = None
     telemetry: Optional[Dict] = field(default=None, repr=False)
     times: Optional[np.ndarray] = field(default=None, repr=False)
     mean: Optional[np.ndarray] = field(default=None, repr=False)
@@ -129,6 +134,8 @@ class SweepCaseResult:
             "worst_drop_v": float(self.worst_drop),
             "max_std_v": float(self.max_std),
         }
+        if self.backend is not None:
+            record["backend"] = str(self.backend)
         if self.telemetry is not None:
             record["telemetry"] = dict(self.telemetry)
         return record
@@ -237,6 +244,7 @@ def _execute_case(args) -> SweepCaseResult:
         samples=case.samples,
         solver=case.solver,
         scheme=case.scheme,
+        backend=getattr(view, "solver", None),
         telemetry=telemetry,
         seed=case.seed,
         name=case.name,

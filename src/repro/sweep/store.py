@@ -53,6 +53,7 @@ import numpy as np
 
 from ..errors import StoreError
 from .plan import SweepCase, SweepPlan
+from .record import case_backend
 
 __all__ = [
     "STORE_SCHEMA",
@@ -246,6 +247,7 @@ def _result_from_entry(entry: Dict, times, mean, std):
         vdd=float(entry["vdd"]),
         solver=None if entry["solver"] is None else str(entry["solver"]),
         scheme=None if entry["scheme"] is None else str(entry["scheme"]),
+        backend=case_backend(entry),
         telemetry=entry.get("telemetry"),
         times=times,
         mean=mean,

@@ -3,7 +3,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.askey import (
@@ -188,5 +188,6 @@ class TestAskeyPropertyBased:
         beta=st.floats(min_value=-0.5, max_value=3.0),
     )
     @settings(max_examples=40, deadline=None)
+    @example(order=0, alpha=-0.5, beta=-0.5)  # a + b = -1: lgamma(0) in the general formula
     def test_jacobi_norms_positive(self, order, alpha, beta):
         assert jacobi_norm_squared(order, alpha, beta) > 0

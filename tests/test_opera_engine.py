@@ -22,11 +22,13 @@ class TestOperaConfig:
         config = OperaConfig(transient=fast_transient)
         assert config.order == 2
         assert config.store_coefficients
-        assert config.effective_solver == "direct"
+        # No solver named anywhere: the run resolves one from the system's form.
+        assert config.solver is None
+        assert config.effective_transient.solver is None
 
     def test_solver_override(self, fast_transient):
         config = OperaConfig(transient=fast_transient, solver="cg")
-        assert config.effective_solver == "cg"
+        assert config.effective_transient.solver == "cg"
 
     def test_rejects_negative_order(self, fast_transient):
         with pytest.raises(AnalysisError):

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.errors import ConvergenceError, SolverError
-from repro.sim.linear import ConjugateGradientSolver, DirectSolver, make_solver
+from repro.sim.linear import ConjugateGradientSolver, DirectSolver, make_solver, resolve_solver
 
 
 def laplacian_spd(n: int) -> sp.csr_matrix:
@@ -98,6 +98,27 @@ class TestMakeSolver:
         reference = make_solver(small_stamped.conductance).solve(rhs)
         solution = make_solver(small_stamped.conductance, "cg").solve(rhs)
         np.testing.assert_allclose(solution, reference, rtol=1e-6, atol=1e-9)
+
+class TestResolveSolver:
+    def test_default_follows_the_form(self):
+        assert resolve_solver(None, galerkin=True) == "mean-block-cg"
+        assert resolve_solver(None, galerkin=False) == "direct"
+
+    def test_named_backend_kept_where_it_runs(self):
+        for name in ("direct", "cg", "mean-block-cg"):
+            assert resolve_solver(name, galerkin=True) == name
+        assert resolve_solver("cg", galerkin=False) == "cg"
+
+    def test_operator_only_backend_on_n_by_n_runs_direct(self):
+        import repro.linalg  # noqa: F401  (registers mean-block-cg)
+
+        assert resolve_solver("mean-block-cg", galerkin=False) == "direct"
+
+    def test_unknown_name_left_for_the_registry(self):
+        assert resolve_solver("no-such-solver", galerkin=False) == "no-such-solver"
+        with pytest.raises(SolverError, match="direct"):
+            make_solver(laplacian_spd(3), resolve_solver("no-such-solver", galerkin=False))
+
 
 class TestConjugateGradientStats:
     def test_stats_track_iterations_and_residual(self):

@@ -30,6 +30,7 @@ from repro.sweep import (
     SweepCase,
     SweepPlan,
     SweepRunner,
+    case_backend,
     check_throughput,
     compare_records,
     corner_names,
@@ -707,6 +708,51 @@ class TestLegacyArtifacts:
         assert tuple(delta.name for delta in report.deltas) == self.NAMES
         assert not report.regressions
         assert report.missing == ("hierarchical-n100-o1-p2-paper",)
+
+    def test_legacy_records_report_the_backend_they_ran(self):
+        for name in ("record.json", "mor_record.json"):
+            cases = BenchRecord.load(LEGACY / name).cases
+            assert {case_backend(case) for case in cases} == {"direct"}
+        cases = BenchRecord.load(LEGACY / "batched_record.json").cases
+        assert [case_backend(case) for case in cases] == ["direct", "direct", "degree-block-cg"]
+
+    def test_resume_across_the_default_change_shows_each_backend(self, tmp_path):
+        """The stored cases ran when every engine defaulted to ``direct``; the
+        ``opera`` case run on resume takes the ``mean-block-cg`` default of
+        the coupled system.  Keys and identities do not name the backend."""
+        plan = SweepPlan.grid(
+            [100],
+            engines=("opera", "montecarlo"),
+            orders=(1, 2),
+            samples=8,
+            mc_chunk_size=4,
+            transient=TransientConfig(t_stop=4 * 0.2e-9, dt=0.2e-9),
+            base_seed=0,
+        )
+        # The new solver=None case keeps the key it had before the change.
+        assert plan.cases[1].store_key() == "opera|100|2|None|paper|grid=9740|seed=477681722"
+        shutil.copytree(LEGACY / "store", tmp_path / "store")
+        store = ShardedNpzBackend(tmp_path / "store")
+        outcome = SweepRunner(keep_statistics=True).resume(plan, store)
+        assert (outcome.executed, outcome.reused) == (1, 2)
+        expected = {
+            "opera-n100-o1-paper": "direct",
+            "opera-n100-o2-paper": "mean-block-cg",
+            "montecarlo-n100-s8-paper": "direct",
+        }
+        assert {result.name: result.backend for result in outcome} == expected
+        record = record_from_outcome(outcome)
+        assert {case["name"]: case["backend"] for case in record.cases} == expected
+        assert all(case["solver"] is None for case in record.cases)
+
+        reopened = ShardedNpzBackend(tmp_path / "store")
+        reopened.open(plan)
+        assert {result.name: result.backend for result in reopened.iter_results()} == {
+            **expected,
+            "hierarchical-n100-o1-p2-paper": "direct",
+        }
+        report = compare_records(BenchRecord.load(LEGACY / "record.json"), record)
+        assert {delta.name for delta in report.deltas} == set(self.NAMES)
 
     BATCHED_NAMES = ("opera-n100-o1-rhs-only", "decoupled-n100-o1-rhs-only")
 
