@@ -38,7 +38,6 @@ from ..opera.config import OperaConfig
 from ..opera.engine import run_opera_dc, run_opera_transient
 from ..registry import Registry
 from ..sim.dc import dc_operating_point
-from ..sim.linear import resolve_solver
 from ..sim.transient import TransientConfig
 from ..telemetry import current_telemetry
 from .result import (
@@ -174,7 +173,6 @@ def _run_opera_engine(session, mode: Optional[str] = None, **options):
     if mode == "dc":
         t = float(options.pop("t", 0.0))
         _reject_unknown(options, "opera", mode)
-        solver = resolve_solver(solver, galerkin=True)
         started = time.perf_counter()
         with current_telemetry().span("opera.assemble", phase="assemble", order=order):
             galerkin = session.galerkin(order)
@@ -188,7 +186,6 @@ def _run_opera_engine(session, mode: Optional[str] = None, **options):
         )
         elapsed = time.perf_counter() - started
         view = StochasticResultView("opera", "dc", field, system.vdd, wall_time=elapsed)
-        view.solver = solver
         view.solver_stats = _solver_stats_delta(stats_before, session.solver_stats())
         return view
 
@@ -202,9 +199,8 @@ def _run_opera_engine(session, mode: Optional[str] = None, **options):
         force_coupled=bool(options.pop("force_coupled", False)),
     )
     _reject_unknown(options, "opera", mode)
-    coupled = system.has_matrix_variation or config.force_coupled
     galerkin = None
-    if coupled:
+    if system.has_matrix_variation or config.force_coupled:
         with current_telemetry().span("opera.assemble", phase="assemble", order=order):
             galerkin = session.galerkin(order)
     result = run_opera_transient(
@@ -216,7 +212,6 @@ def _run_opera_engine(session, mode: Optional[str] = None, **options):
     )
     view = StochasticResultView("opera", "transient", result, system.vdd)
     view.transient = transient
-    view.solver = resolve_solver(config.effective_transient.solver, galerkin=coupled)
     view.solver_stats = _solver_stats_delta(stats_before, session.solver_stats())
     return view
 
@@ -250,9 +245,7 @@ def _run_montecarlo_engine(session, mode: Optional[str] = None, **options):
             workers=workers,
             chunk_size=chunk_size,
         )
-        view = MonteCarloResultView("montecarlo", "dc", result, system.vdd)
-        view.solver = resolve_solver(solver, galerkin=False)
-        return view
+        return MonteCarloResultView("montecarlo", "dc", result, system.vdd)
 
     transient = _resolve_transient(session, options)
     config = MonteCarloConfig(
@@ -269,7 +262,6 @@ def _run_montecarlo_engine(session, mode: Optional[str] = None, **options):
     result = run_monte_carlo_transient(system, config)
     view = MonteCarloResultView("montecarlo", "transient", result, system.vdd)
     view.transient = transient
-    view.solver = resolve_solver(config.effective_transient.solver, galerkin=False)
     return view
 
 
@@ -287,11 +279,9 @@ def _run_deterministic_engine(session, mode: Optional[str] = None, **options):
         started = time.perf_counter()
         result = dc_operating_point(session.stamped, t=t, solver=solver)
         elapsed = time.perf_counter() - started
-        view = DeterministicResultView(
+        return DeterministicResultView(
             "deterministic", "dc", result, session.stamped.vdd, wall_time=elapsed
         )
-        view.solver = resolve_solver(solver, galerkin=False)
-        return view
 
     transient = _resolve_transient(session, options)
     if solver is not None and solver != transient.solver:
@@ -304,7 +294,6 @@ def _run_deterministic_engine(session, mode: Optional[str] = None, **options):
         "deterministic", "transient", result, result.vdd, wall_time=elapsed
     )
     view.transient = transient
-    view.solver = resolve_solver(transient.solver, galerkin=False)
     view.solver_stats = _solver_stats_delta(stats_before, session.solver_stats())
     return view
 

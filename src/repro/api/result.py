@@ -87,11 +87,12 @@ class EngineResult:
         if wall_time is None:
             wall_time = getattr(raw, "wall_time", None)
         self.wall_time = wall_time
-        #: The linear-solver backend the run used, as resolved by
-        #: :func:`~repro.sim.linear.resolve_solver` (e.g. ``"mean-block-cg"``
-        #: for a default coupled ``opera`` run, ``"direct"`` for its
-        #: decoupled special case); set by the built-in engines.
-        self.solver: Optional[str] = None
+        #: The linear-solver backend the run used, as the solving code
+        #: resolved it with :func:`~repro.sim.linear.resolve_solver` (e.g.
+        #: ``"mean-block-cg"`` for a default coupled ``opera`` run,
+        #: ``"direct"`` for its decoupled special case); read from the raw
+        #: result's ``solver`` attribute, ``None`` when it has none.
+        self.solver: Optional[str] = getattr(raw, "solver", None)
         #: Linear-solver diagnostics of the run (iteration counts, final
         #: residuals, factorisation times), attached by engines whose solver
         #: backends expose them; ``None`` when unavailable.  While telemetry

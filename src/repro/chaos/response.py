@@ -154,12 +154,15 @@ class StochasticTransientResult:
         variance: Optional[np.ndarray] = None,
         node_names: Optional[Sequence[str]] = None,
         wall_time: Optional[float] = None,
+        solver: Optional[str] = None,
     ):
         self.times = np.asarray(times, dtype=float)
         self.basis = basis
         self.vdd = float(vdd)
         self.node_names = tuple(node_names) if node_names is not None else None
         self.wall_time = wall_time
+        #: The linear-solver backend that ran, as the solving code resolved it.
+        self.solver = solver
 
         if coefficients is not None:
             coefficients = np.asarray(coefficients, dtype=float)

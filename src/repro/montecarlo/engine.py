@@ -37,6 +37,7 @@ import numpy as np
 
 from ..errors import AnalysisError
 from ..sim.dc import solve_dc
+from ..sim.linear import resolve_solver
 from ..sim.transient import TransientConfig, run_transient
 from ..variation.model import StochasticSystem
 from .sampler import GermSampler
@@ -171,6 +172,7 @@ class MonteCarloTransientResult:
         node_names: Optional[Sequence[str]] = None,
         node_drop_samples: Optional[Dict[int, np.ndarray]] = None,
         wall_time: Optional[float] = None,
+        solver: Optional[str] = None,
     ):
         self.times = np.asarray(times, dtype=float)
         self._mean = np.asarray(mean_voltage, dtype=float)
@@ -180,6 +182,8 @@ class MonteCarloTransientResult:
         self.node_names = tuple(node_names) if node_names is not None else None
         self.node_drop_samples = node_drop_samples or {}
         self.wall_time = wall_time
+        #: The per-sample linear-solver backend that ran.
+        self.solver = solver
 
     # ------------------------------------------------------------------ sizes
     @property
@@ -228,6 +232,7 @@ class MonteCarloDCResult:
     num_samples: int
     vdd: float
     wall_time: Optional[float] = None
+    solver: Optional[str] = None
 
     @property
     def std_voltage(self) -> np.ndarray:
@@ -376,6 +381,8 @@ def run_monte_carlo_transient(
     """
     started = time.perf_counter()
     transient = config.effective_transient
+    # Resolved once here, so the chunk workers and the result agree.
+    transient = replace(transient, solver=resolve_solver(transient.solver, galerkin=False))
     times = transient.times()
 
     if config.chunked:
@@ -417,6 +424,7 @@ def run_monte_carlo_transient(
         node_names=system.node_names,
         node_drop_samples=node_drop_samples,
         wall_time=elapsed,
+        solver=transient.solver,
     )
 
 
@@ -442,6 +450,7 @@ def run_monte_carlo_dc(
     if chunk_size is not None and chunk_size < 2:
         raise AnalysisError(f"chunk_size must be at least 2, got {chunk_size}")
     started = time.perf_counter()
+    solver = resolve_solver(solver, galerkin=False)
     if workers > 1 or chunk_size is not None:
         sizes = _chunk_layout(num_samples, chunk_size)
         seeds = _chunk_seeds(seed, len(sizes))
@@ -468,4 +477,5 @@ def run_monte_carlo_dc(
         num_samples=num_samples,
         vdd=system.vdd,
         wall_time=elapsed,
+        solver=solver,
     )

@@ -120,9 +120,11 @@ def run_opera_dc(
     solution = factory(conductance, method=solver, **dict(solver_options or {})).solve(
         galerkin.rhs(t)
     )
-    return StochasticField(
+    field = StochasticField(
         galerkin.basis, galerkin.split(solution), vdd=system.vdd, node_names=system.node_names
     )
+    field.solver = solver
+    return field
 
 
 def run_opera_transient(
@@ -192,6 +194,7 @@ def run_opera_transient(
             coefficients=coefficients,
             node_names=system.node_names,
             wall_time=elapsed,
+            solver=adapter.solver,
         )
     return StochasticTransientResult(
         times=times,
@@ -201,4 +204,5 @@ def run_opera_transient(
         variance=variance,
         node_names=system.node_names,
         wall_time=elapsed,
+        solver=adapter.solver,
     )

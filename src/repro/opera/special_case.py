@@ -74,6 +74,7 @@ def run_decoupled_transient(
     active = sorted(initial_coefficients.keys())
 
     coefficients = np.zeros((times.size, basis.size, n))
+    solver = None  # no active track: nothing to solve
     if active:
         series = StackedRhsSeries.from_coefficients(
             lambda t: system.excitation.pc_coefficients(basis, t),
@@ -97,6 +98,7 @@ def run_decoupled_transient(
         StepLoop(adapter, transient.scheme, times, transient.dt).run(
             callback=scatter, store=False
         )
+        solver = adapter.solver
 
     elapsed = time.perf_counter() - started
     if config.store_coefficients:
@@ -107,6 +109,7 @@ def run_decoupled_transient(
             coefficients=coefficients,
             node_names=system.node_names,
             wall_time=elapsed,
+            solver=solver,
         )
     mean = coefficients[:, 0, :]
     variance = np.sum(coefficients[:, 1:, :] ** 2, axis=1)
@@ -118,5 +121,6 @@ def run_decoupled_transient(
         variance=variance,
         node_names=system.node_names,
         wall_time=elapsed,
+        solver=solver,
     )
 

@@ -217,10 +217,14 @@ def run_regression_transient(
     if samples < 2:
         raise RegressionError("regression PCE needs at least 2 samples")
 
+    # Resolved once here, so the chunk workers and the result agree.
+    transient = dataclasses.replace(
+        config.transient, solver=resolve_solver(config.transient.solver, galerkin=False)
+    )
     sizes = _chunk_layout(samples, config.chunk_size)
     seeds = _chunk_seeds(config.seed, len(sizes))
     jobs = [
-        (config.transient, chunk_seed, chunk_samples)
+        (transient, chunk_seed, chunk_samples)
         for chunk_seed, chunk_samples in zip(seeds, sizes)
     ]
     germs, responses = _sample_responses(
@@ -239,12 +243,13 @@ def run_regression_transient(
     coefficients = coefficients.reshape(basis.size, num_times, num_nodes)
     elapsed = time.perf_counter() - started
     result = StochasticTransientResult(
-        times=config.transient.times(),
+        times=transient.times(),
         basis=basis,
         vdd=system.vdd,
         coefficients=coefficients.transpose(1, 0, 2),
         node_names=system.node_names,
         wall_time=elapsed,
+        solver=transient.solver,
     )
     result.regression_info = dict(diagnostics, num_samples=samples)
     return result
@@ -281,6 +286,7 @@ def run_regression_dc(
     if workers < 1:
         raise RegressionError(f"workers must be at least 1, got {workers}")
 
+    solver = resolve_solver(solver, galerkin=False)
     sizes = _chunk_layout(samples, chunk_size)
     seeds = _chunk_seeds(seed, len(sizes))
     jobs = [
@@ -297,6 +303,7 @@ def run_regression_dc(
         basis, coefficients, vdd=system.vdd, node_names=system.node_names
     )
     field.wall_time = time.perf_counter() - started
+    field.solver = solver
     field.regression_info = dict(diagnostics, num_samples=samples)
     return field
 
@@ -370,9 +377,7 @@ def _run_pce_regression_engine(session, mode: Optional[str] = None, **options):
             normalize=normalize,
             basis=basis,
         )
-        view = RegressionResultView("pce-regression", "dc", field, system.vdd)
-        view.solver = resolve_solver(solver, galerkin=False)
-        return view
+        return RegressionResultView("pce-regression", "dc", field, system.vdd)
 
     transient = _resolve_transient(session, options)
     if solver is not None and solver != transient.solver:
@@ -392,5 +397,4 @@ def _run_pce_regression_engine(session, mode: Optional[str] = None, **options):
     result = run_regression_transient(system, config, basis=basis)
     view = RegressionResultView("pce-regression", "transient", result, system.vdd)
     view.transient = transient
-    view.solver = resolve_solver(transient.solver, galerkin=False)
     return view

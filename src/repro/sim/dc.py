@@ -31,7 +31,7 @@ def solve_dc(
     ``solver=None`` takes the default of
     :func:`~repro.sim.linear.resolve_solver` for the matrix's form.
     """
-    solver = resolve_solver(solver, galerkin=_is_lazy_operator(conductance))
+    solver = resolve_solver(solver, galerkin=_is_lazy_operator(conductance), options=solver_options)
     linear: LinearSolver = make_solver(conductance, method=solver, **solver_options)
     return linear.solve(np.asarray(rhs, dtype=float))
 
@@ -47,5 +47,6 @@ def dc_operating_point(
     The capacitors are open at DC, so only the conductance matrix and the
     excitation ``U(t) = G1*VDD - i(t)`` enter the solve.
     """
+    solver = resolve_solver(solver, galerkin=False, options=solver_options)
     voltages = solve_dc(system.conductance, system.rhs(t), solver=solver, **solver_options)
-    return DCResult(voltages=voltages, vdd=system.vdd)
+    return DCResult(voltages=voltages, vdd=system.vdd, solver=solver)

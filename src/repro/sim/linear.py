@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 import hashlib
 from collections import OrderedDict
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -522,7 +522,9 @@ def solver_accepts_operator(method: str) -> bool:
     return bool(getattr(factory, "accepts_operator", False))
 
 
-def resolve_solver(name: Optional[str], *, galerkin: bool) -> str:
+def resolve_solver(
+    name: Optional[str], *, galerkin: bool, options: Optional[Mapping] = None
+) -> str:
     """The backend that solves a system of the given form.
 
     The one place the default solver is decided; every entry point takes
@@ -535,7 +537,9 @@ def resolve_solver(name: Optional[str], *, galerkin: bool) -> str:
       when none is named.  A backend that only runs on a Galerkin operator
       (its factory sets ``operator_only``, as ``mean-block-cg`` does) also
       gets ``"direct"`` there: its preconditioner would be the exact LU of
-      that same matrix.
+      that same matrix.  ``options`` are the solver options the caller
+      will forward; options meant for a backend this rule replaces raise
+      :class:`~repro.errors.SolverError` rather than reach ``direct``.
 
     Unknown names are returned unchanged, so :func:`make_solver` reports
     them with the registry's listing.
@@ -548,6 +552,12 @@ def resolve_solver(name: Optional[str], *, galerkin: bool) -> str:
         except SolverError:
             return name
         if getattr(factory, "operator_only", False):
+            if options:
+                raise SolverError(
+                    f"solver {name!r} runs only on a Galerkin operator, so this "
+                    f"n x n system runs 'direct'; the options {sorted(options)} "
+                    f"were meant for {name!r}"
+                )
             return "direct"
     return name
 

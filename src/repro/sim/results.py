@@ -12,10 +12,14 @@ __all__ = ["DCResult", "TransientResult"]
 
 @dataclass(frozen=True)
 class DCResult:
-    """Node voltages of a DC (steady-state) solution."""
+    """Node voltages of a DC (steady-state) solution.
+
+    ``solver`` is the linear-solver backend that ran.
+    """
 
     voltages: np.ndarray
     vdd: float
+    solver: Optional[str] = None
 
     @property
     def drops(self) -> np.ndarray:
@@ -44,12 +48,21 @@ class TransientResult:
         the simulation was run in streaming (callback-only) mode.
     vdd:
         Nominal supply voltage used to convert voltages to drops.
+    solver:
+        The linear-solver backend that ran.
     """
 
-    def __init__(self, times: np.ndarray, voltages: Optional[np.ndarray], vdd: float):
+    def __init__(
+        self,
+        times: np.ndarray,
+        voltages: Optional[np.ndarray],
+        vdd: float,
+        solver: Optional[str] = None,
+    ):
         self.times = np.asarray(times, dtype=float)
         self.voltages = None if voltages is None else np.asarray(voltages, dtype=float)
         self.vdd = float(vdd)
+        self.solver = solver
         if self.voltages is not None and self.voltages.shape[0] != self.times.size:
             raise ValueError("voltages must have one row per time point")
 

@@ -168,7 +168,9 @@ def run_transient(
     )
     loop = StepLoop(adapter, config.scheme, config.times(), config.dt)
     history = loop.run(x0=x0, callback=callback, store=store)
-    return TransientResult(times=history.times, voltages=history.states, vdd=vdd)
+    return TransientResult(
+        times=history.times, voltages=history.states, vdd=vdd, solver=adapter.solver
+    )
 
 
 def transient_analysis(

@@ -62,11 +62,13 @@ def _default_factory():
     return make_solver
 
 
-def _resolve_solver(solver: Optional[str], galerkin: bool) -> str:
+def _resolve_solver(
+    solver: Optional[str], galerkin: bool, options: Optional[Mapping] = None
+) -> str:
     """:func:`repro.sim.linear.resolve_solver`, imported per call like the above."""
     from ..sim.linear import resolve_solver
 
-    return resolve_solver(solver, galerkin=galerkin)
+    return resolve_solver(solver, galerkin=galerkin, options=options)
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +126,9 @@ class MnaSystemAdapter(SystemAdapter):
         self._matrix_free = matrix_free
         self._rhs_function = rhs_function
         self._rhs_series = rhs_series
-        self.solver = _resolve_solver(solver, galerkin=matrix_free)
-        self._factory = solver_factory
         self._options = dict(solver_options or {})
+        self.solver = _resolve_solver(solver, matrix_free, self._options)
+        self._factory = solver_factory
 
     @property
     def size(self) -> int:
@@ -176,7 +178,7 @@ class GalerkinSystemAdapter(MnaSystemAdapter):
         solver_factory: Optional[Callable] = None,
         solver_options: Optional[Mapping] = None,
     ):
-        solver = _resolve_solver(solver, galerkin=True)
+        solver = _resolve_solver(solver, True)
         super().__init__(
             galerkin.for_solver("conductance", solver),
             galerkin.for_solver("capacitance", solver),
@@ -324,9 +326,9 @@ class DecoupledSystemAdapter(SystemAdapter):
         if self._tracks < 1:
             raise SolverError(f"need at least one active track, got {tracks}")
         self._series = rhs_series
-        self.solver = _resolve_solver(solver, galerkin=False)
-        self._factory = solver_factory
         self._options = dict(solver_options or {})
+        self.solver = _resolve_solver(solver, False, self._options)
+        self._factory = solver_factory
 
     @property
     def num_nodes(self) -> int:

@@ -319,15 +319,16 @@ class TestMatrixFreeEngine:
         return Analysis.from_spec(300, seed=11).with_transient(t_stop=2.0e-9, dt=0.2e-9)
 
     def test_transient_mean_std_match_direct(self, session):
-        direct = session.run("opera", order=2)
+        direct = session.run("opera", order=2, solver="direct")
         matrix_free = session.run("opera", order=2, solver="mean-block-cg")
+        assert (direct.solver, matrix_free.solver) == ("direct", "mean-block-cg")
         mean_scale = np.max(np.abs(direct.mean()))
         std_scale = np.max(np.abs(direct.std()))
         assert np.max(np.abs(matrix_free.mean() - direct.mean())) <= 1e-10 * mean_scale
         assert np.max(np.abs(matrix_free.std() - direct.std())) <= 1e-10 * std_scale
 
     def test_transient_order3(self, session):
-        direct = session.run("opera", order=3)
+        direct = session.run("opera", order=3, solver="direct")
         matrix_free = session.run("opera", order=3, solver="mean-block-cg")
         assert np.max(np.abs(matrix_free.mean() - direct.mean())) <= 1e-10 * np.max(
             np.abs(direct.mean())
@@ -337,7 +338,7 @@ class TestMatrixFreeEngine:
         )
 
     def test_dc_matches_direct(self, session):
-        direct = session.run("opera", mode="dc", order=2)
+        direct = session.run("opera", mode="dc", order=2, solver="direct")
         matrix_free = session.run("opera", mode="dc", order=2, solver="mean-block-cg")
         assert np.max(np.abs(matrix_free.mean() - direct.mean())) <= 1e-10 * np.max(
             np.abs(direct.mean())

@@ -99,6 +99,7 @@ class TestMakeSolver:
         solution = make_solver(small_stamped.conductance, "cg").solve(rhs)
         np.testing.assert_allclose(solution, reference, rtol=1e-6, atol=1e-9)
 
+
 class TestResolveSolver:
     def test_default_follows_the_form(self):
         assert resolve_solver(None, galerkin=True) == "mean-block-cg"
@@ -113,6 +114,35 @@ class TestResolveSolver:
         import repro.linalg  # noqa: F401  (registers mean-block-cg)
 
         assert resolve_solver("mean-block-cg", galerkin=False) == "direct"
+
+    def test_options_for_a_replaced_backend_raise(self):
+        import repro.linalg  # noqa: F401  (registers mean-block-cg)
+        from repro.sim.dc import solve_dc
+        from repro.sim.transient import TransientConfig, run_transient
+        from repro.stepping import DecoupledSystemAdapter
+
+        options = {"rtol": 1e-12}
+        with pytest.raises(SolverError, match="mean-block-cg.*direct"):
+            resolve_solver("mean-block-cg", galerkin=False, options=options)
+        # Options a kept backend takes pass through.
+        assert resolve_solver("cg", galerkin=False, options=options) == "cg"
+        assert resolve_solver("mean-block-cg", galerkin=True, options=options) == "mean-block-cg"
+
+        matrix = laplacian_spd(4)
+        rhs = np.ones(4)
+        with pytest.raises(SolverError, match="rtol"):
+            solve_dc(matrix, rhs, solver="mean-block-cg", **options)
+        config = TransientConfig(t_stop=1e-9, dt=0.5e-9, solver="mean-block-cg")
+        with pytest.raises(SolverError, match="rtol"):
+            run_transient(matrix, matrix, lambda t: rhs, config, solver_options=options)
+        with pytest.raises(SolverError, match="rtol"):
+            DecoupledSystemAdapter(
+                matrix, matrix, 1, None, solver="mean-block-cg", solver_options=options
+            )
+        # Without options the replacement runs.
+        np.testing.assert_allclose(
+            solve_dc(matrix, rhs, solver="mean-block-cg"), solve_dc(matrix, rhs), atol=1e-14
+        )
 
     def test_unknown_name_left_for_the_registry(self):
         assert resolve_solver("no-such-solver", galerkin=False) == "no-such-solver"

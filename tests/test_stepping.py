@@ -278,12 +278,29 @@ class TestPreRefactorEquivalence:
             view = paper.run("montecarlo", method=method, **REF_MC)
         else:
             view = paper.run("opera", order=REF_ORDER, method=method)
-        np.testing.assert_allclose(
-            view.mean(), reference_archive[f"{archive_key}/{method}/mean"], rtol=0.0, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            view.std(), reference_archive[f"{archive_key}/{method}/std"], rtol=0.0, atol=1e-12
-        )
+        _assert_matches_archive(view, reference_archive, archive_key, method)
+
+    @pytest.mark.parametrize("method", ["trapezoidal", "backward-euler"])
+    @pytest.mark.parametrize("archive_key", ["opera", "decoupled"])
+    def test_direct_matches_frozen_reference(
+        self, reference_archive, reference_sessions, archive_key, method
+    ):
+        """The paper's reference path, ``opera`` with ``direct``, stays pinned
+        next to the default (``mean-block-cg`` on the coupled system)."""
+        paper, rhs_only = reference_sessions
+        session = rhs_only if archive_key == "decoupled" else paper
+        view = session.run("opera", order=REF_ORDER, method=method, solver="direct")
+        assert view.solver == "direct"
+        _assert_matches_archive(view, reference_archive, archive_key, method)
+
+
+def _assert_matches_archive(view, archive, archive_key, method):
+    np.testing.assert_allclose(
+        view.mean(), archive[f"{archive_key}/{method}/mean"], rtol=0.0, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        view.std(), archive[f"{archive_key}/{method}/std"], rtol=0.0, atol=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------
