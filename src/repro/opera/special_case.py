@@ -69,19 +69,18 @@ def run_decoupled_transient(
     conductance = system.g_nominal.tocsr()
     capacitance = system.c_nominal.tocsr()
 
-    # The set of active chaos coefficients is fixed by the excitation structure.
-    initial_coefficients = system.excitation.pc_coefficients(basis, float(times[0]))
-    active = sorted(initial_coefficients.keys())
+    # The active chaos coefficients are those the excitation produces at all.
+    series = StackedRhsSeries.from_coefficients(
+        lambda t: system.excitation.pc_coefficients(basis, t),
+        times,
+        None,
+        n,
+    )
+    active = series.indices
 
     coefficients = np.zeros((times.size, basis.size, n))
     solver = None  # no active track: nothing to solve
     if active:
-        series = StackedRhsSeries.from_coefficients(
-            lambda t: system.excitation.pc_coefficients(basis, t),
-            times,
-            active,
-            n,
-        )
         adapter = DecoupledSystemAdapter(
             conductance,
             capacitance,
@@ -89,6 +88,7 @@ def run_decoupled_transient(
             rhs_series=series,
             solver=config.effective_transient.solver,
             solver_factory=solver_factory,
+            solver_options=config.solver_options,
         )
         active_rows = np.asarray(active, dtype=int)
 

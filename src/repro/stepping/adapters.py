@@ -207,7 +207,12 @@ class StackedRhsSeries:
     active coefficient tracks.
     """
 
-    def __init__(self, times: np.ndarray, waveforms: np.ndarray):
+    def __init__(
+        self,
+        times: np.ndarray,
+        waveforms: np.ndarray,
+        indices: Optional[Sequence[int]] = None,
+    ):
         self.times = np.asarray(times, dtype=float)
         waveforms = np.asarray(waveforms, dtype=float)
         if waveforms.ndim != 3 or waveforms.shape[0] != self.times.size:
@@ -215,25 +220,33 @@ class StackedRhsSeries:
                 f"waveforms must have shape (num_times, tracks, nodes); got {waveforms.shape}"
             )
         self._waveforms = waveforms
+        #: Chaos basis index of each track (``None`` for a bare table).
+        self.indices = None if indices is None else tuple(int(index) for index in indices)
 
     @classmethod
     def from_coefficients(
         cls,
         coefficients_at: Callable[[float], Mapping[int, np.ndarray]],
         times: np.ndarray,
-        indices: Sequence[int],
+        indices: Optional[Sequence[int]],
         num_nodes: int,
     ) -> "StackedRhsSeries":
-        """Evaluate a coefficient function over a time axis for given tracks."""
+        """Evaluate a coefficient function over a time axis for given tracks.
+
+        ``indices=None`` takes the tracks from the coefficients of the first
+        time point, in ascending order.
+        """
         times = np.asarray(times, dtype=float)
+        evaluated = [coefficients_at(float(t)) for t in times]
+        if indices is None:
+            indices = sorted(evaluated[0])
         indices = tuple(int(index) for index in indices)
         table = np.zeros((times.size, len(indices), num_nodes))
         zeros = np.zeros(num_nodes)
-        for step, t in enumerate(times):
-            current = coefficients_at(float(t))
+        for step, current in enumerate(evaluated):
             for position, index in enumerate(indices):
                 table[step, position] = np.asarray(current.get(index, zeros), dtype=float)
-        return cls(times, table)
+        return cls(times, table, indices)
 
     def fill(self, step: int, out: np.ndarray) -> np.ndarray:
         expected = self._waveforms.shape[1] * self._waveforms.shape[2]

@@ -45,7 +45,6 @@ __all__ = [
     "AffineExcitation",
     "SummedExcitation",
     "ConstantSensitivity",
-    "ScaledDrainCurrentSensitivity",
     "StochasticSystem",
     "build_stochastic_system",
 ]
@@ -201,62 +200,97 @@ class ConstantSensitivity:
         return self.vector
 
 
-class ScaledDrainCurrentSensitivity:
-    """``t -> -scale * i(t)``: drain-current sensitivity to the Leff germ.
-
-    ``U = G1*VDD - i(t)`` gives ``dU/dxi_L = -dI/dxi_L = -scale * i(t)``.
-    Implemented as a picklable class for the same reason as
-    :class:`ConstantSensitivity`.
-    """
-
-    def __init__(self, stamped: StampedSystem, scale: float):
-        self.stamped = stamped
-        self.scale = float(scale)
-
-    def __call__(self, t: float) -> np.ndarray:
-        return -self.scale * self.stamped.drain_current_vector(t)
-
-
 class AffineExcitation(StochasticExcitation):
     """``U(t, xi) = u0(t) + sum_k u_k(t) xi_k`` (first-order germ dependence).
 
     ``sensitivities`` maps germ *variable index* to the function returning
     that germ's sensitivity vector at time ``t``.
+
+    Drain-weighted form (``drain`` given, ``nominal`` ``None``): the rows
+    that follow the drain currents of paper Eq. (13) share one evaluation
+    of ``i(t) = drain.drain_current_vector(t)`` per :meth:`sample` /
+    :meth:`pc_coefficients` call:
+
+    * the nominal row is ``u0(t) = pad - i(t)``, with ``pad = G1*VDD`` the
+      stamped pad injection ``drain.pad_current``;
+    * each germ ``k`` of ``drain_weights`` gets the Leff row
+      ``u_k(t) = -d_k * i(t)``.  ``d_k`` is fixed at build time: a scalar
+      ``s`` (``current_leff_sensitivity * sigma_l``) for the inter-die
+      germ, or the per-node vector ``s * sum_r w_kr * [node in region r]``
+      for an intra-die germ with region weights ``w_kr``.
+
+    :meth:`sample` accumulates ``xi_k * u_k`` onto ``u0`` over the
+    ``sensitivities`` first and then over ``drain_weights``, each in
+    insertion order.
     """
 
     def __init__(
         self,
-        nominal: Callable[[float], np.ndarray],
+        nominal: Optional[Callable[[float], np.ndarray]],
         sensitivities: Mapping[int, Callable[[float], np.ndarray]],
         num_variables: int,
+        *,
+        drain: Optional[StampedSystem] = None,
+        drain_weights: Optional[Mapping[int, float | np.ndarray]] = None,
     ):
+        if (nominal is None) == (drain is None):
+            raise VariationModelError(
+                "AffineExcitation needs exactly one of a nominal function and a drain system"
+            )
+        if drain_weights and drain is None:
+            raise VariationModelError("drain_weights need the drain system they scale")
         self._nominal = nominal
+        self._drain = drain
         self._sensitivities = dict(sensitivities)
         self._num_variables = int(num_variables)
-        for var in self._sensitivities:
+        # Stored negated: the Leff row is ``(-d_k) * i``, i.e. ``-(d_k * i)``.
+        self._drain_weights: Dict[int, np.ndarray] = {}
+        for var, weight in (drain_weights or {}).items():
+            weight = np.asarray(weight, dtype=float)
+            if weight.ndim != 0 and weight.shape != (drain.num_nodes,):
+                raise VariationModelError(
+                    f"drain weight of variable {var} has shape {weight.shape}; expected "
+                    f"a scalar or ({drain.num_nodes},)"
+                )
+            self._drain_weights[var] = -weight
+        for var in (*self._sensitivities, *self._drain_weights):
             if not (0 <= var < self._num_variables):
                 raise VariationModelError(
                     f"sensitivity refers to variable {var} but only "
                     f"{self._num_variables} germ variables exist"
                 )
+        if self._sensitivities.keys() & self._drain_weights.keys():
+            raise VariationModelError("a germ has either a sensitivity or a drain weight, not both")
 
     @property
     def num_variables(self) -> int:
         return self._num_variables
 
+    def _nominal_row(self, t: float) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(u0(t), i(t))``; ``i`` is ``None`` without a drain system."""
+        if self._drain is None:
+            return np.array(self._nominal(t), dtype=float, copy=True), None
+        current = self._drain.drain_current_vector(t)
+        return self._drain.pad_current - current, current
+
     def sample(self, t: float, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
-        value = np.array(self._nominal(t), dtype=float, copy=True)
+        value, current = self._nominal_row(t)
         for var, sensitivity in self._sensitivities.items():
             value += xi[var] * np.asarray(sensitivity(t), dtype=float)
+        for var, weight in self._drain_weights.items():
+            value += xi[var] * (weight * current)
         return value
 
     def pc_coefficients(self, basis, t: float) -> Dict[int, np.ndarray]:
-        coefficients = {0: np.asarray(self._nominal(t), dtype=float)}
+        value, current = self._nominal_row(t)
+        coefficients = {0: value}
         if getattr(basis, "order", 1) >= 1:
             for var, sensitivity in self._sensitivities.items():
                 index = basis.first_order_index(var)
                 coefficients[index] = np.asarray(sensitivity(t), dtype=float)
+            for var, weight in self._drain_weights.items():
+                coefficients[basis.first_order_index(var)] = weight * current
         return coefficients
 
 
@@ -414,6 +448,7 @@ def build_stochastic_system(
     g_sens: Dict[int, sp.csr_matrix] = {}
     c_sens: Dict[int, sp.csr_matrix] = {}
     rhs_sens: Dict[int, Callable[[float], np.ndarray]] = {}
+    drain_weights: Dict[int, float] = {}
 
     if spec.pads_vary:
         g_varying = (stamped.g_wire + stamped.g_package).tocsr()
@@ -432,18 +467,18 @@ def build_stochastic_system(
             index = add_variable("xi_G")
             g_sens[index] = (spec.sigma_g * g_varying).tocsr()
             if spec.pads_vary:
-                rhs_sens[index] = _scaled_constant(spec.sigma_g * pad_varying)
+                rhs_sens[index] = ConstantSensitivity(spec.sigma_g * pad_varying)
         else:
             if spec.sigma_w > 0:
                 index = add_variable("xi_W")
                 g_sens[index] = (spec.sigma_w * g_varying).tocsr()
                 if spec.pads_vary:
-                    rhs_sens[index] = _scaled_constant(spec.sigma_w * pad_varying)
+                    rhs_sens[index] = ConstantSensitivity(spec.sigma_w * pad_varying)
             if spec.sigma_t > 0:
                 index = add_variable("xi_T")
                 g_sens[index] = (spec.sigma_t * g_varying).tocsr()
                 if spec.pads_vary:
-                    rhs_sens[index] = _scaled_constant(spec.sigma_t * pad_varying)
+                    rhs_sens[index] = ConstantSensitivity(spec.sigma_t * pad_varying)
 
     # --- channel length: gate capacitance and drain currents -----------------
     needs_leff = (spec.vary_capacitance or spec.vary_currents) and spec.sigma_l > 0
@@ -456,9 +491,7 @@ def build_stochastic_system(
                 gate_cap = spec.gate_cap_fraction * stamped.capacitance
             c_sens[index] = (spec.sigma_l * gate_cap).tocsr()
         if spec.vary_currents:
-            rhs_sens[index] = ScaledDrainCurrentSensitivity(
-                stamped, spec.current_leff_sensitivity * spec.sigma_l
-            )
+            drain_weights[index] = spec.current_leff_sensitivity * spec.sigma_l
 
     if not variables:
         raise VariationModelError(
@@ -466,9 +499,11 @@ def build_stochastic_system(
         )
 
     excitation = AffineExcitation(
-        nominal=stamped.rhs,
+        nominal=None,
         sensitivities=rhs_sens,
         num_variables=len(variables),
+        drain=stamped,
+        drain_weights=drain_weights,
     )
 
     return StochasticSystem(
@@ -481,8 +516,3 @@ def build_stochastic_system(
         vdd=stamped.vdd,
         node_names=stamped.node_names,
     )
-
-
-def _scaled_constant(vector: np.ndarray) -> Callable[[float], np.ndarray]:
-    """Time-independent sensitivity vector as a (picklable) callable of time."""
-    return ConstantSensitivity(vector)

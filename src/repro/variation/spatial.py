@@ -18,9 +18,10 @@ This module implements that extension for the synthetic grids produced by
    ``exp(-d / L_corr)`` between region centres;
 3. the correlated per-region deviations are decorrelated with PCA, keeping
    the components that explain a requested fraction of the variance;
-4. region-wise conductance / gate-capacitance / drain-current groups are
-   stamped separately, so each retained germ obtains its own sparse
-   sensitivity matrix and excitation sensitivity.
+4. region-wise conductance and gate-capacitance groups are stamped
+   separately, so each retained germ obtains its own sparse sensitivity
+   matrix; its drain-current sensitivity is the grid's drain currents
+   weighted node by node with the germ's region weights.
 
 The result is an ordinary :class:`~repro.variation.model.StochasticSystem`
 with ``m_G + m_L`` Gaussian germs, usable with both the OPERA engine and the
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,7 +42,7 @@ from ..grid.elements import ResistorKind
 from ..grid.netlist import PowerGridNetlist
 from ..grid.stamping import StampedSystem, stamp
 from .correlation import correlation_from_distance, decorrelate_gaussian
-from .model import AffineExcitation, GermVariable, StochasticSystem
+from .model import AffineExcitation, ConstantSensitivity, GermVariable, StochasticSystem
 from .regions import RegionPartition
 
 __all__ = ["SpatialVariationSpec", "build_spatial_stochastic_system"]
@@ -213,28 +214,10 @@ def _region_gate_capacitances(
     ]
 
 
-def _region_current_functions(
-    netlist: PowerGridNetlist, partition: RegionPartition
-) -> List[Callable[[float], np.ndarray]]:
-    """Per-region drain-current vectors as functions of time."""
-    n = netlist.num_nodes
-    grouped: List[List[Tuple[int, Callable]]] = [[] for _ in range(partition.num_regions)]
-    for source in netlist.current_sources:
-        region = _region_of_node(partition, source.node)
-        if region is None:
-            continue
-        grouped[region].append((netlist.node_index(source.node), source.waveform))
-
-    def make(entries):
-        def current(t: float) -> np.ndarray:
-            vector = np.zeros(n)
-            for node, waveform in entries:
-                vector[node] += float(waveform(t))
-            return vector
-
-        return current
-
-    return [make(entries) for entries in grouped]
+def _node_regions(partition: RegionPartition, node_names) -> np.ndarray:
+    """Region index of every node (any layer); -1 for nodes outside every region."""
+    regions = (_region_of_node(partition, name) for name in node_names)
+    return np.array([-1 if region is None else region for region in regions], dtype=int)
 
 
 def _spatial_germs(
@@ -287,7 +270,8 @@ def build_spatial_stochastic_system(
     variables: List[GermVariable] = []
     g_sens: Dict[int, sp.csr_matrix] = {}
     c_sens: Dict[int, sp.csr_matrix] = {}
-    rhs_sens: Dict[int, Callable[[float], np.ndarray]] = {}
+    rhs_sens: Dict[int, ConstantSensitivity] = {}
+    drain_weights: Dict[int, np.ndarray] = {}
 
     if spec.vary_conductance and spec.sigma_g > 0:
         region_g, region_pads = _region_conductances(
@@ -306,11 +290,12 @@ def build_spatial_stochastic_system(
                 pad_vector = pad_vector + weight * region_pads[region]
             g_sens[index] = matrix.tocsr()
             if spec.pads_vary and np.any(pad_vector):
-                rhs_sens[index] = (lambda vector: (lambda t: vector))(pad_vector)
+                rhs_sens[index] = ConstantSensitivity(pad_vector)
 
     if spec.vary_channel_length and spec.sigma_l > 0:
         region_c = _region_gate_capacitances(netlist, partition, spec.gate_cap_fraction)
-        region_i = _region_current_functions(netlist, partition)
+        node_region = _node_regions(partition, stamped.node_names)
+        on_die = node_region >= 0
         for component in range(num_components):
             index = len(variables)
             variables.append(GermVariable(name=f"xi_L_s{component}", family="hermite"))
@@ -322,25 +307,16 @@ def build_spatial_stochastic_system(
                 matrix = matrix + weights[region] * region_c[region]
             c_sens[index] = matrix.tocsr()
 
-            def current_sensitivity(
-                t: float,
-                _weights=weights.copy(),
-                _currents=region_i,
-                _scale=spec.current_leff_sensitivity,
-            ) -> np.ndarray:
-                vector = np.zeros(stamped.num_nodes)
-                for region, weight in enumerate(_weights):
-                    if weight:
-                        vector -= _scale * weight * _currents[region](t)
-                return vector
-
-            rhs_sens[index] = current_sensitivity
+            # Leff row -d_k * i(t): each node takes its region's weight.
+            node_weight = np.zeros(stamped.num_nodes)
+            node_weight[on_die] = spec.current_leff_sensitivity * weights[node_region[on_die]]
+            drain_weights[index] = node_weight
 
     if not variables:
         raise VariationModelError("the spatial variation spec enables no random variables")
 
     excitation = AffineExcitation(
-        nominal=stamped.rhs, sensitivities=rhs_sens, num_variables=len(variables)
+        None, rhs_sens, len(variables), drain=stamped, drain_weights=drain_weights
     )
     return StochasticSystem(
         variables=tuple(variables),

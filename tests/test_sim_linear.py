@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.errors import ConvergenceError, SolverError
-from repro.sim.linear import ConjugateGradientSolver, DirectSolver, make_solver, resolve_solver
+from repro.sim.linear import (
+    ConjugateGradientSolver,
+    DirectSolver,
+    make_solver,
+    resolve_solver,
+    sparse_lu,
+)
 
 
 def laplacian_spd(n: int) -> sp.csr_matrix:
@@ -50,6 +57,51 @@ class TestDirectSolver:
         for _ in range(3):
             b = np.random.default_rng(1).normal(size=30)
             np.testing.assert_allclose(A @ solver.solve(b), b, atol=1e-10)
+
+
+def grid_laplacian(side: int) -> sp.csc_matrix:
+    """A 2-D mesh Laplacian plus a diagonal shift: a symmetric grid pattern."""
+    path = sp.diags([-np.ones(side - 1), -np.ones(side - 1)], [-1, 1])
+    chain = sp.diags([-np.ones(side - 1), 4.5 * np.ones(side), -np.ones(side - 1)], [-1, 0, 1])
+    eye = sp.identity(side)
+    return (sp.kron(eye, chain) + sp.kron(path, eye)).tocsc()
+
+
+class TestSparseLU:
+    def test_symmetric_pattern_gets_minimum_degree_ordering(self):
+        matrix = grid_laplacian(6)
+        symmetric = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        colamd = spla.splu(matrix, permc_spec="COLAMD")
+        assert np.any(symmetric.perm_c != colamd.perm_c)
+        np.testing.assert_array_equal(sparse_lu(matrix).perm_c, symmetric.perm_c)
+        factors = sparse_lu(matrix)
+        assert factors.L.nnz + factors.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+    def test_unsymmetric_pattern_falls_back_to_colamd(self):
+        lil = grid_laplacian(6).tolil()
+        lil[0, 20] = 0.3
+        lil[7, 33] = -0.2
+        matrix = lil.tocsc()
+        colamd = spla.splu(matrix, permc_spec="COLAMD")
+        symmetric = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        assert np.any(symmetric.perm_c != colamd.perm_c)
+        factors = sparse_lu(matrix)
+        np.testing.assert_array_equal(factors.perm_c, colamd.perm_c)
+        x_true = np.linspace(-1.0, 1.0, matrix.shape[0])
+        np.testing.assert_allclose(factors.solve(matrix @ x_true), x_true, atol=1e-13)
+
+    def test_unsorted_symmetric_pattern_detected(self):
+        matrix = grid_laplacian(4)
+        # Same matrix, row indices of every column reversed.
+        data, indices = [], []
+        for start, stop in zip(matrix.indptr[:-1], matrix.indptr[1:]):
+            data.append(matrix.data[start:stop][::-1])
+            indices.append(matrix.indices[start:stop][::-1])
+        shuffled = sp.csc_matrix(
+            (np.concatenate(data), np.concatenate(indices), matrix.indptr), shape=matrix.shape
+        )
+        assert not shuffled.has_sorted_indices
+        np.testing.assert_array_equal(sparse_lu(shuffled).perm_c, sparse_lu(matrix).perm_c)
 
 
 class TestConjugateGradientSolver:

@@ -355,6 +355,17 @@ class TestCrossEngineEquivalence:
         np.testing.assert_allclose(view.mean(), reference.mean(), rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(view.std(), reference.std(), rtol=0.0, atol=1e-9)
 
+    def test_decoupled_run_forwards_solver_options(self, reference_sessions):
+        """``solver_options`` reach the decoupled special case's solver: a
+        tighter ``cg`` tolerance tightens the match to ``direct``, which the
+        default tolerance leaves at 9.43e-10 on the mean."""
+        _, rhs_only = reference_sessions
+        reference = rhs_only.run("opera", order=REF_ORDER, solver="direct")
+        tight = rhs_only.run("opera", order=REF_ORDER, solver="cg", solver_options={"rtol": 1e-13})
+        assert tight.solver == "cg"
+        assert np.max(np.abs(tight.mean() - reference.mean())) < 1e-11
+        np.testing.assert_allclose(tight.std(), reference.std(), rtol=0.0, atol=1e-11)
+
     def test_default_solver_follows_the_form(self, reference_sessions):
         paper, rhs_only = reference_sessions
         assert paper.run("opera", order=REF_ORDER).solver == "mean-block-cg"

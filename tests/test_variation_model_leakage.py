@@ -1,6 +1,7 @@
 """Tests for the stochastic-system builders (Eq. (13)-(14)) and the leakage model."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from repro.chaos.basis import PolynomialChaosBasis
 from repro.errors import VariationModelError
 from repro.grid.netlist import PowerGridNetlist
-from repro.grid.stamping import stamp
+from repro.grid.stamping import StampedSystem, stamp
 from repro.variation.leakage import LeakageVariationSpec, RegionLeakageExcitation
 from repro.variation.model import (
     AffineExcitation,
@@ -19,6 +20,12 @@ from repro.variation.model import (
     build_stochastic_system,
 )
 from repro.variation.regions import RegionPartition
+from repro.variation.spatial import (
+    SpatialVariationSpec,
+    _region_conductances,
+    _spatial_germs,
+    build_spatial_stochastic_system,
+)
 
 
 class TestVariationSpec:
@@ -98,6 +105,150 @@ class TestAffineExcitation:
             SummedExcitation([a, b])
         with pytest.raises(VariationModelError):
             SummedExcitation([])
+
+
+class TestDrainWeightedExcitation:
+    """The builders' excitations evaluate the drain currents once per call
+    and reproduce the per-germ formulas they replaced."""
+
+    TIMES = (0.0, 0.35e-9, 1.1e-9)
+
+    @pytest.fixture()
+    def drain_calls(self, monkeypatch):
+        calls = []
+        original = StampedSystem.drain_current_vector
+
+        def counting(stamped, t, include_leakage=True):
+            calls.append(t)
+            return original(stamped, t, include_leakage)
+
+        monkeypatch.setattr(StampedSystem, "drain_current_vector", counting)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def spatial(self, small_netlist, small_stamped, small_grid_spec):
+        partition = RegionPartition(
+            nx=small_grid_spec.nx, ny=small_grid_spec.ny, region_rows=2, region_cols=2
+        )
+        spec = SpatialVariationSpec(correlation_length=150.0, energy_fraction=0.98)
+        system = build_spatial_stochastic_system(
+            small_netlist, partition, spec, stamped=small_stamped
+        )
+        return partition, spec, system
+
+    @staticmethod
+    def _spatial_rows(netlist, stamped, partition, spec, system, t):
+        """The per-germ rows as the per-region closures computed them."""
+        transform = _spatial_germs(partition, spec.node_pitch, spec)
+        components = transform.shape[1]
+        region_currents = [np.zeros(stamped.num_nodes) for _ in range(partition.num_regions)]
+        for source in netlist.current_sources:
+            row, col = (int(part) for part in source.node.split("_")[1:])
+            region = partition.region_of(row, col)
+            region_currents[region][netlist.node_index(source.node)] += float(source.waveform(t))
+        _, region_pads = _region_conductances(netlist, partition, include_pads=spec.pads_vary)
+        rows = {}
+        for component in range(components):
+            pad_vector = np.zeros(stamped.num_nodes)
+            for region in range(partition.num_regions):
+                weight = spec.sigma_g * transform[region, component]
+                if weight != 0.0:
+                    pad_vector = pad_vector + weight * region_pads[region]
+            rows[component] = pad_vector
+            weights = spec.sigma_l * transform[:, component]
+            current = np.zeros(stamped.num_nodes)
+            for region, weight in enumerate(weights):
+                if weight:
+                    current -= spec.current_leff_sensitivity * weight * region_currents[region]
+            rows[components + component] = current
+        assert len(rows) == system.num_variables
+        return rows
+
+    def test_one_drain_evaluation_per_call(self, small_system, spatial, drain_calls):
+        _, _, spatial_system = spatial
+        for system in (small_system, spatial_system):
+            basis = PolynomialChaosBasis("hermite", order=2, num_vars=system.num_variables)
+            xi = np.linspace(-1.0, 1.0, system.num_variables)
+            for t in self.TIMES:
+                drain_calls.clear()
+                system.excitation.sample(t, xi)
+                assert drain_calls == [t]
+                drain_calls.clear()
+                system.excitation.pc_coefficients(basis, t)
+                assert drain_calls == [t]
+
+    def test_inter_die_bit_identical_to_per_germ_formulas(self, small_system, small_stamped):
+        spec = VariationSpec.paper_defaults()
+        excitation = small_system.excitation
+        basis = PolynomialChaosBasis("hermite", order=2, num_vars=2)
+        xi = np.array([0.8, -1.7])
+        for t in self.TIMES:
+            pad_row = spec.sigma_g * small_stamped.pad_current
+            scale = spec.current_leff_sensitivity * spec.sigma_l
+            leff_row = -scale * small_stamped.drain_current_vector(t)
+            expected = np.array(small_stamped.rhs(t), copy=True)
+            expected += xi[0] * pad_row
+            expected += xi[1] * leff_row
+            assert excitation.sample(t, xi).tobytes() == expected.tobytes()
+            coefficients = excitation.pc_coefficients(basis, t)
+            assert set(coefficients) == {0, basis.first_order_index(0), basis.first_order_index(1)}
+            assert coefficients[0].tobytes() == small_stamped.rhs(t).tobytes()
+            assert coefficients[basis.first_order_index(0)].tobytes() == pad_row.tobytes()
+            assert coefficients[basis.first_order_index(1)].tobytes() == leff_row.tobytes()
+
+    def test_spatial_matches_per_region_formulas(self, small_netlist, small_stamped, spatial):
+        partition, spec, system = spatial
+        assert partition.num_regions == 4
+        basis = PolynomialChaosBasis("hermite", order=1, num_vars=system.num_variables)
+        xi = np.linspace(-1.5, 1.2, system.num_variables)
+        for t in self.TIMES:
+            rows = self._spatial_rows(small_netlist, small_stamped, partition, spec, system, t)
+            expected = np.array(small_stamped.rhs(t), copy=True)
+            for var, row in rows.items():
+                expected += xi[var] * row
+            # Equal up to the sign of zeros: ``0 - x`` became ``-x``.
+            np.testing.assert_array_equal(system.excitation.sample(t, xi), expected)
+            coefficients = system.excitation.pc_coefficients(basis, t)
+            np.testing.assert_array_equal(coefficients[0], small_stamped.rhs(t))
+            for var, row in rows.items():
+                np.testing.assert_array_equal(
+                    coefficients.get(basis.first_order_index(var), 0.0 * row), row
+                )
+
+    def test_spatial_system_pickles(self, spatial):
+        _, _, system = spatial
+        restored = pickle.loads(pickle.dumps(system))
+        basis = PolynomialChaosBasis("hermite", order=1, num_vars=system.num_variables)
+        xi = np.linspace(-1.0, 1.0, system.num_variables)
+        for t in self.TIMES:
+            np.testing.assert_array_equal(
+                restored.excitation.sample(t, xi), system.excitation.sample(t, xi)
+            )
+            original = system.excitation.pc_coefficients(basis, t)
+            copied = restored.excitation.pc_coefficients(basis, t)
+            assert set(copied) == set(original)
+            for index, vector in original.items():
+                np.testing.assert_array_equal(copied[index], vector)
+
+    def test_drain_form_validation(self, small_stamped):
+        with pytest.raises(VariationModelError, match="exactly one"):
+            AffineExcitation(None, {}, 1)
+        with pytest.raises(VariationModelError, match="exactly one"):
+            AffineExcitation(small_stamped.rhs, {}, 1, drain=small_stamped)
+        with pytest.raises(VariationModelError, match="drain system"):
+            AffineExcitation(small_stamped.rhs, {}, 1, drain_weights={0: 1.0})
+        with pytest.raises(VariationModelError, match="shape"):
+            AffineExcitation(None, {}, 1, drain=small_stamped, drain_weights={0: np.ones(3)})
+        with pytest.raises(VariationModelError, match="variable 2"):
+            AffineExcitation(None, {}, 2, drain=small_stamped, drain_weights={2: 1.0})
+        with pytest.raises(VariationModelError, match="not both"):
+            AffineExcitation(
+                None,
+                {0: lambda t: small_stamped.pad_current},
+                1,
+                drain=small_stamped,
+                drain_weights={0: 1.0},
+            )
 
 
 class TestBuildStochasticSystem:
