@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from ..errors import SolverError
-from ..sim.linear import PreconditionedCGSolver, canonical_csc, register_solver, sparse_lu
+from ..sim.linear import PreconditionedCGSolver, register_solver, sparse_lu
 from ..telemetry import current_telemetry
 from .operator import KronSumOperator, is_operator
 
@@ -77,12 +77,11 @@ class MeanBlockCGSolver(PreconditionedCGSolver):
         self.rtol = float(rtol)
         self.maxiter = int(maxiter)
 
-        mean_block = canonical_csc(operator.mean_block())
         try:
             with current_telemetry().span(
                 "solver.factor", phase="factor", solver=self.method_name
             ):
-                self._mean_lu = sparse_lu(mean_block)
+                self._mean_lu = sparse_lu(operator.mean_block())
         except RuntimeError as exc:  # singular mean block
             raise SolverError(f"mean-block LU factorisation failed: {exc}") from exc
         self._configure_cg(

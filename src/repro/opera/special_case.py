@@ -71,10 +71,7 @@ def run_decoupled_transient(
 
     # The active chaos coefficients are those the excitation produces at all.
     series = StackedRhsSeries.from_coefficients(
-        lambda t: system.excitation.pc_coefficients(basis, t),
-        times,
-        None,
-        n,
+        lambda t: system.excitation.pc_coefficients(basis, t), times, n
     )
     active = series.indices
 

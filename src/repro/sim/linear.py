@@ -159,10 +159,12 @@ class _SparsityPattern:
     clone.  ``csc_from`` then rebuilds ``sp.csc_matrix(csr)`` for any
     same-pattern matrix without re-running the structural conversion, with
     bitwise-identical data layout (the conversion's placement depends only
-    on the structure, never on the values).
+    on the structure, never on the values).  ``symmetric`` records whether
+    the pattern equals that of its transpose, which picks the fill-reducing
+    ordering of :func:`sparse_lu`.
     """
 
-    __slots__ = ("shape", "csc_indices", "csc_indptr", "gather")
+    __slots__ = ("shape", "csc_indices", "csc_indptr", "gather", "symmetric")
 
     def __init__(self, csr: sp.csr_matrix):
         tagged = sp.csr_matrix(
@@ -173,6 +175,13 @@ class _SparsityPattern:
         self.csc_indices = csc.indices
         self.csc_indptr = csc.indptr
         self.gather = csc.data
+        # The CSC arrays of ``A`` are the CSR arrays of ``A^T`` (rows sorted).
+        rows = tagged if tagged.has_sorted_indices else tagged.sorted_indices()
+        self.symmetric = (
+            csr.shape[0] == csr.shape[1]
+            and np.array_equal(rows.indptr, csc.indptr)
+            and np.array_equal(rows.indices, csc.indices)
+        )
 
     def csc_from(self, csr: sp.csr_matrix) -> sp.csc_matrix:
         return sp.csc_matrix(
@@ -206,9 +215,7 @@ def canonical_csc(matrix) -> sp.csc_matrix:
     The returned matrix is bitwise identical (structure and data ordering)
     to a plain ``sp.csc_matrix(matrix)`` conversion; CSR inputs whose
     sparsity pattern was seen before skip the structural analysis and pay
-    only a value gather.  This is the single funnel every LU build in the
-    library goes through (:class:`DirectSolver` and the mean-block
-    preconditioner of :mod:`repro.linalg.solvers`).
+    only a value gather.  :func:`sparse_lu` makes the same conversion.
     """
     if sp.issparse(matrix) and matrix.format == "csr":
         return _pattern_for(matrix).csc_from(matrix)
@@ -227,18 +234,32 @@ def _pattern_is_symmetric(matrix: sp.csc_matrix) -> bool:
     return same_indptr and np.array_equal(matrix.indices, transpose.indices)
 
 
-def sparse_lu(matrix: sp.csc_matrix):
-    """SuperLU factors of a square CSC matrix, ordered for its pattern.
+def sparse_lu(matrix):
+    """SuperLU factors of a square sparse matrix, ordered for its pattern.
 
-    Grid step matrices ``aG + bC/h`` and Galerkin mean blocks have a
-    symmetric pattern: they get the minimum-degree ordering of ``A^T + A``
-    in SuperLU's symmetric mode, which prefers diagonal pivots.  On grid
-    step matrices of 2.5k-10k nodes that leaves about 40% fewer nonzeros in
-    ``L + U`` than COLAMD and makes factors and solves 30-40% faster.
-    Unsymmetric patterns (possible in hand-written SPICE decks) keep
-    SuperLU's default COLAMD ordering.
+    This is the single funnel every LU build in the library goes through:
+    :class:`DirectSolver` (grid step matrices ``aG + bC/h``, DC and PRIMA
+    matrices, and the explicit ``nP x nP`` augmented Galerkin matrix of
+    ``opera``/``direct``) and the mean-block preconditioner of
+    :mod:`repro.linalg.solvers`.  CSR input is converted through the
+    sparsity-pattern cache (see :func:`canonical_csc`), which also holds
+    whether the pattern is symmetric; other input is converted and checked
+    directly.
+
+    All of those matrices have a symmetric pattern: they get the
+    minimum-degree ordering of ``A^T + A`` in SuperLU's symmetric mode,
+    which prefers diagonal pivots.  On grid step matrices of 2.5k-10k nodes
+    that leaves about 40% fewer nonzeros in ``L + U`` than COLAMD and makes
+    factors and solves 30-40% faster.  Unsymmetric patterns (possible in
+    hand-written SPICE decks) keep SuperLU's default COLAMD ordering.
     """
-    if _pattern_is_symmetric(matrix):
+    if sp.issparse(matrix) and matrix.format == "csr":
+        pattern = _pattern_for(matrix)
+        matrix, symmetric = pattern.csc_from(matrix), pattern.symmetric
+    else:
+        matrix = sp.csc_matrix(matrix)
+        symmetric = _pattern_is_symmetric(matrix)
+    if symmetric:
         return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     return spla.splu(matrix, permc_spec="COLAMD")
 
@@ -277,15 +298,15 @@ class DirectSolver(LinearSolver):
         return solution
 
     def __init__(self, matrix: sp.spmatrix):
-        matrix = canonical_csc(matrix)
-        if matrix.shape[0] != matrix.shape[1]:
+        shape = np.shape(matrix)
+        if len(shape) != 2 or shape[0] != shape[1]:
             raise SolverError("direct solver requires a square matrix")
         try:
             with current_telemetry().span("solver.factor", phase="factor", solver="direct"):
                 self._lu = sparse_lu(matrix)
         except RuntimeError as exc:  # singular matrix
             raise SolverError(f"LU factorisation failed: {exc}") from exc
-        self.shape = matrix.shape
+        self.shape = shape
 
     def refactor(self, matrix: sp.spmatrix) -> "DirectSolver":
         """A new solver for a same-pattern matrix with different values.

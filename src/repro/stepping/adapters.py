@@ -211,7 +211,7 @@ class StackedRhsSeries:
         self,
         times: np.ndarray,
         waveforms: np.ndarray,
-        indices: Optional[Sequence[int]] = None,
+        indices: Sequence[int],
     ):
         self.times = np.asarray(times, dtype=float)
         waveforms = np.asarray(waveforms, dtype=float)
@@ -220,27 +220,24 @@ class StackedRhsSeries:
                 f"waveforms must have shape (num_times, tracks, nodes); got {waveforms.shape}"
             )
         self._waveforms = waveforms
-        #: Chaos basis index of each track (``None`` for a bare table).
-        self.indices = None if indices is None else tuple(int(index) for index in indices)
+        #: Chaos basis index of each track.
+        self.indices = tuple(int(index) for index in indices)
 
     @classmethod
     def from_coefficients(
         cls,
         coefficients_at: Callable[[float], Mapping[int, np.ndarray]],
         times: np.ndarray,
-        indices: Optional[Sequence[int]],
         num_nodes: int,
     ) -> "StackedRhsSeries":
-        """Evaluate a coefficient function over a time axis for given tracks.
+        """Evaluate a coefficient function over a time axis.
 
-        ``indices=None`` takes the tracks from the coefficients of the first
-        time point, in ascending order.
+        The tracks are the coefficients of the first time point, in
+        ascending order of their chaos index.
         """
         times = np.asarray(times, dtype=float)
         evaluated = [coefficients_at(float(t)) for t in times]
-        if indices is None:
-            indices = sorted(evaluated[0])
-        indices = tuple(int(index) for index in indices)
+        indices = sorted(evaluated[0])
         table = np.zeros((times.size, len(indices), num_nodes))
         zeros = np.zeros(num_nodes)
         for step, current in enumerate(evaluated):

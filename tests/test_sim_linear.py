@@ -5,10 +5,13 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import repro.sim.linear as linear
 from repro.errors import ConvergenceError, SolverError
 from repro.sim.linear import (
     ConjugateGradientSolver,
     DirectSolver,
+    clear_pattern_cache,
+    factorization_counters,
     make_solver,
     resolve_solver,
     sparse_lu,
@@ -90,18 +93,40 @@ class TestSparseLU:
         x_true = np.linspace(-1.0, 1.0, matrix.shape[0])
         np.testing.assert_allclose(factors.solve(matrix @ x_true), x_true, atol=1e-13)
 
-    def test_unsorted_symmetric_pattern_detected(self):
-        matrix = grid_laplacian(4)
-        # Same matrix, row indices of every column reversed.
+    @pytest.mark.parametrize("fmt", ["csc", "csr"])
+    def test_unsorted_symmetric_pattern_detected(self, fmt):
+        matrix = grid_laplacian(4).asformat(fmt)
+        # Same matrix, indices of every column (CSC) or row (CSR) reversed.
         data, indices = [], []
         for start, stop in zip(matrix.indptr[:-1], matrix.indptr[1:]):
             data.append(matrix.data[start:stop][::-1])
             indices.append(matrix.indices[start:stop][::-1])
-        shuffled = sp.csc_matrix(
+        shuffled = type(matrix)(
             (np.concatenate(data), np.concatenate(indices), matrix.indptr), shape=matrix.shape
         )
         assert not shuffled.has_sorted_indices
+        clear_pattern_cache()
         np.testing.assert_array_equal(sparse_lu(shuffled).perm_c, sparse_lu(matrix).perm_c)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_csr_input_takes_symmetry_from_the_pattern_cache(self, symmetric, monkeypatch):
+        lil = grid_laplacian(6).tolil()
+        if not symmetric:
+            lil[0, 20] = 0.3
+            lil[7, 33] = -0.2
+        matrix = lil.tocsc()
+        expected = sparse_lu(matrix).perm_c
+        clear_pattern_cache()
+
+        def no_structural_check(matrix):
+            raise AssertionError("CSR input must not re-check its pattern")
+
+        monkeypatch.setattr(linear, "_pattern_is_symmetric", no_structural_check)
+        reused = factorization_counters()["symbolic_reuse"]
+        for scale in (1.0, 2.0):
+            factors = sparse_lu((scale * matrix).tocsr())
+            np.testing.assert_array_equal(factors.perm_c, expected)
+        assert factorization_counters()["symbolic_reuse"] == reused + 1
 
 
 class TestConjugateGradientSolver:
